@@ -72,7 +72,6 @@ struct CellResult {
   double requests_per_sec = 0.0;
   double avg_batch = 0.0;
   double avg_queue_ms = 0.0;
-  serve::InferenceEngineStats stats;  // incl. graph-executor observability
 };
 
 double Percentile50(std::vector<double> values) {
@@ -115,7 +114,6 @@ CellResult RunCell(const Workload& workload, int clients, int64_t max_micro_batc
   const serve::InferenceEngineStats stats = engine.stats();
   result.avg_batch = stats.AvgBatchSize();
   result.avg_queue_ms = stats.AvgQueueMs();
-  result.stats = stats;
   return result;
 }
 
@@ -150,18 +148,6 @@ void RunThroughputSweep(const Workload& workload, int64_t num_requests,
       const std::string name = "clients" + std::to_string(clients) + "/cap" +
                                std::to_string(cap) + "/requests_per_sec";
       json->Add(name, result.requests_per_sec, "req/s");
-      // Dataflow-executor observability for the busiest cell: per-batch node
-      // count / critical path / idle capacity and the ready-queue high-water
-      // mark (all zero when RITA_GRAPH_EXECUTOR=off).
-      if (clients == client_sweep.back() && cap == cap_sweep.back()) {
-        json->Add("graph/avg_nodes", result.stats.AvgGraphNodes(), "nodes");
-        json->Add("graph/avg_critical_path_ms", result.stats.AvgCriticalPathMs(),
-                  "ms");
-        json->Add("graph/avg_idle_ms", result.stats.AvgGraphIdleMs(), "ms");
-        json->Add("graph/ready_high_water",
-                  static_cast<double>(result.stats.graph_ready_high_water),
-                  "nodes");
-      }
     }
     std::printf("\n");
   }
@@ -499,12 +485,10 @@ void RunObsOverhead(const Workload& workload, const BenchScale& scale,
        {"rita_requests_completed_total", "rita_requests_rejected_total",
         "rita_batches_total", "rita_cache_hits_total",
         "rita_cache_misses_total", "rita_deadline_missed_total",
-        "rita_forward_failures_total", "rita_graph_batches_total",
-        "rita_graph_nodes_total", "rita_queue_latency_ms",
+        "rita_forward_failures_total", "rita_queue_latency_ms",
         "rita_compute_latency_ms", "rita_micro_batch_size",
-        "rita_graph_critical_path_ms", "rita_graph_idle_ms",
         "rita_micro_batch_max", "rita_compute_latency_max_ms",
-        "rita_graph_ready_high_water", "rita_queue_depth",
+        "rita_queue_depth",
         "rita_in_flight_batches", "rita_cache_bytes", "rita_cache_entries",
         "rita_model_weight_bytes", "rita_model_precision"}) {
     RITA_CHECK(prometheus.find(family) != std::string::npos)

@@ -1,5 +1,7 @@
 #include "attention/multi_head.h"
 
+#include "obs/trace.h"
+
 namespace rita {
 namespace attn {
 
@@ -28,6 +30,7 @@ ag::Variable MultiHeadAttention::Forward(const ag::Variable& x) {
 }
 
 ag::Variable MultiHeadAttention::ProjectHeads(int which, const ag::Variable& x) {
+  obs::Span span("qkv_projection_gemm", "kernel");
   RITA_CHECK_EQ(x.dim(), 3);
   RITA_CHECK_EQ(x.size(2), dim_);
   const int64_t b = x.size(0), n = x.size(1);

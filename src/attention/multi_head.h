@@ -26,12 +26,13 @@ class MultiHeadAttention : public nn::Module {
   ag::Variable Forward(const ag::Variable& x);
   ag::Variable Forward(const ag::Variable& x, ForwardState* state);
 
-  /// Stage-level pieces of Forward, exposed so the dataflow graph executor
-  /// can schedule them as independent nodes. Forward() is literally composed
-  /// of these calls, so the staged path is bit-identical by construction.
+  /// Stage-level pieces of Forward, exposed so callers can run and time the
+  /// stages one at a time. Forward() is literally composed of these calls,
+  /// so the staged path is bit-identical by construction.
   ///
   /// Projects x through wq/wk/wv (`which` = 0/1/2) and splits heads:
-  /// [B, n, dim] -> [B*H, n, head_dim].
+  /// [B, n, dim] -> [B*H, n, head_dim]. Records a `qkv_projection_gemm`
+  /// kernel span when the calling thread carries a trace.
   ag::Variable ProjectHeads(int which, const ag::Variable& x);
   /// Runs the attention mechanism over pre-projected heads, installing the
   /// head-count RNG period exactly as Forward does.

@@ -1,9 +1,11 @@
 #include "core/group_attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "autograd/function.h"
 #include "linalg/kernels/kernels.h"
+#include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 
 namespace rita {
@@ -127,11 +129,21 @@ class GroupAttentionFunction : public ag::Function {
   std::shared_ptr<ExecutionContext*> context_cell_;
 };
 
+// Row-tile count per slice: enough tiles to feed the pool when few slices
+// exist (B=1), without shattering short sequences. Purely a scheduling
+// choice — the fused kernel is row-exact, so any tiling gives the same bits.
+int64_t TilesPerSlice(int64_t slices, int64_t rows, int threads) {
+  const int64_t want = (2 * threads + slices - 1) / slices;
+  const int64_t cap = std::max<int64_t>(1, rows / 16);
+  return std::max<int64_t>(1, std::min(want, cap));
+}
+
 }  // namespace
 
 InferenceGrouping GroupSliceForInference(const Tensor& keys, const float* v_slice,
                                          const cluster::KMeansOptions& km, Rng* rng,
                                          ExecutionContext* context) {
+  obs::Span span("kmeans_grouping", "kernel");
   RITA_CHECK_EQ(keys.dim(), 2);
   const int64_t n = keys.size(0), d = keys.size(1);
   InferenceGrouping out;
@@ -156,6 +168,7 @@ InferenceGrouping GroupSliceForInference(const Tensor& keys, const float* v_slic
 void GroupAttendRows(const float* q_rows, const InferenceGrouping& grouping,
                      float* out_rows, int64_t rows, int64_t d, float scale,
                      ScratchArena::Lease* scratch) {
+  obs::Span span("fused_group_attention", "kernel");
   kernels::FusedScoreSoftmaxWeightedSum(
       q_rows, grouping.grouping.centroids.data(), grouping.v_tilde.data(), out_rows,
       rows, grouping.num_groups(), d, scale, grouping.weights.data(), scratch);
@@ -166,9 +179,9 @@ cluster::KMeansOptions GroupAttentionMechanism::InferenceKMeans(int64_t n) const
   km.num_clusters = std::min<int64_t>(num_groups_, n);
   km.max_iters = options_.kmeans_iters;
   km.kmeanspp_init = options_.kmeanspp_init;
-  // The per-slice loop is the parallel grain in the sequential forward; each
-  // slice's k-means and GEMMs run inline on that slice's thread. (The graph
-  // lowering flips this to true — bit-identical by RunKMeans' contract.)
+  // The per-slice loop is the parallel grain; each slice's k-means and GEMMs
+  // run inline on that slice's thread. (Forward flips this to true when the
+  // slices alone cannot fill the pool — bit-identical by RunKMeans' contract.)
   km.parallel = false;
   return km;
 }
@@ -199,8 +212,6 @@ ag::Variable GroupAttentionMechanism::Forward(const ag::Variable& q,
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   ExecutionContext* context = ResolveContext(*state);
 
-  const cluster::KMeansOptions km = InferenceKMeans(n);
-
   Tensor out({bh, n, d});
   std::vector<SliceState> states(bh);
   std::vector<GroupingSnapshot>* snapshots = state->snapshots;
@@ -221,6 +232,18 @@ ag::Variable GroupAttentionMechanism::Forward(const ag::Variable& q,
       ag::GradModeEnabled() &&
       (q.requires_grad() || q.grad_fn() != nullptr || k.requires_grad() ||
        k.grad_fn() != nullptr || v.requires_grad() || v.grad_fn() != nullptr);
+
+  // Narrow inference (fewer slices than pool threads, e.g. one long series)
+  // cannot fill the pool from the slice loop alone, so each slice also
+  // spreads its Lloyd iterations across the pool and splits its attention
+  // rows into tiles. Both are bitwise neutral: RunKMeans reduces in fixed
+  // blocks whatever km.parallel says, and the fused kernel is row-exact.
+  const int threads = context->num_threads();
+  const bool narrow = !need_grad && snapshots == nullptr && bh < threads;
+  cluster::KMeansOptions km = InferenceKMeans(n);
+  km.parallel = narrow;
+  const int64_t tiles = narrow ? TilesPerSlice(bh, n, threads) : 1;
+  const int64_t rows_per_tile = (n + tiles - 1) / tiles;
 
   // One independent unit of Alg. 1 per (batch*head) slice: group the keys,
   // score against the N representatives, group-softmax, aggregate values.
@@ -255,8 +278,19 @@ ag::Variable GroupAttentionMechanism::Forward(const ag::Variable& q,
         // O = A~ V~ : [n, d]
         ops::Gemm2D(a_tilde.data(), ig.v_tilde.data(), po + s * n * d, n, d, ng,
                     false, false, /*parallel=*/false);
-      } else {
+      } else if (tiles == 1) {
         GroupAttendRows(pq + s * n * d, ig, po + s * n * d, n, d, scale, &scratch);
+      } else {
+        context->ParallelFor(0, tiles, [&](int64_t t0, int64_t t1) {
+          ScratchArena::Lease tile_scratch = context->arena()->Acquire();
+          for (int64_t t = t0; t < t1; ++t) {
+            tile_scratch.Reset();
+            const int64_t r0 = std::min(n, t * rows_per_tile);
+            const int64_t rows = std::min(n, r0 + rows_per_tile) - r0;
+            GroupAttendRows(pq + (s * n + r0) * d, ig, po + (s * n + r0) * d, rows,
+                            d, scale, &tile_scratch);
+          }
+        });
       }
 
       if (snapshots != nullptr) {

@@ -20,9 +20,9 @@ namespace core {
 
 /// One (batch*head) slice's grouping state for the inference fast path:
 /// everything the fused score->softmax->weighted-sum kernel needs. Produced
-/// by GroupSliceForInference, consumed by GroupAttendRows — both the
-/// sequential forward and the dataflow graph lowering call exactly these two
-/// helpers, so the two paths are bit-identical by construction.
+/// by GroupSliceForInference, consumed by GroupAttendRows — the mechanism's
+/// Forward is composed of exactly these two helpers, so a caller that stages
+/// them itself reproduces it bit for bit.
 struct InferenceGrouping {
   cluster::KMeansResult grouping;  // centroids R, assignment, counts
   Tensor v_tilde;                  // V~: [ng, d] per-group value sums
@@ -33,10 +33,11 @@ struct InferenceGrouping {
 
 /// Groups one slice's keys and aggregates its values (Alg. 1 steps 1-2).
 /// `keys` is the slice's [n, d] key matrix; `v_slice` points at its n*d
-/// values. k-means runs with `km` as given — the graph path sets
-/// km.parallel=true to spread Lloyd iterations across the pool, which is
-/// bit-identical to the sequential km.parallel=false by RunKMeans' fixed
-/// reduction-block contract.
+/// values. k-means runs with `km` as given — Forward sets km.parallel=true
+/// when there are fewer slices than pool threads, spreading Lloyd iterations
+/// across the pool; that is bit-identical to km.parallel=false by RunKMeans'
+/// fixed reduction-block contract. Records a `kmeans_grouping` kernel span
+/// when the calling thread carries a trace.
 InferenceGrouping GroupSliceForInference(const Tensor& keys, const float* v_slice,
                                          const cluster::KMeansOptions& km, Rng* rng,
                                          ExecutionContext* context);
@@ -44,8 +45,9 @@ InferenceGrouping GroupSliceForInference(const Tensor& keys, const float* v_slic
 /// Scores `rows` query rows against the grouping and writes the attended
 /// output rows (Alg. 1 steps 3-5 via the fused kernel). Row-tiling is exact:
 /// every output row is produced by the same per-row kernel regardless of how
-/// the [0, n) range is split, so per-tile graph nodes match the one-shot call
-/// bit for bit.
+/// the [0, n) range is split, so Forward's per-tile calls match the one-shot
+/// call bit for bit. Records a `fused_group_attention` kernel span when the
+/// calling thread carries a trace.
 void GroupAttendRows(const float* q_rows, const InferenceGrouping& grouping,
                      float* out_rows, int64_t rows, int64_t d, float scale,
                      ScratchArena::Lease* scratch);
@@ -96,9 +98,10 @@ class GroupAttentionMechanism : public attn::AttentionMechanism {
   uint64_t seed() const { return seed_; }
   void set_seed(uint64_t seed) { seed_ = seed; }
 
-  /// The k-means configuration Forward uses for an n-token slice (with
-  /// km.parallel=false — the slice loop is the parallel grain there). The
-  /// graph lowering reuses this so both paths group identically.
+  /// The k-means configuration Forward uses for an n-token slice, with
+  /// km.parallel=false (the slice loop is the parallel grain; Forward flips
+  /// it only for narrow inference, which is bitwise neutral). Staged callers
+  /// reuse this to group exactly like Forward.
   cluster::KMeansOptions InferenceKMeans(int64_t n) const;
 
  protected:

@@ -329,8 +329,6 @@ void EncodeEngineStats(const serve::InferenceEngineStats& s, WireWriter* w) {
   w->U64(s.cache_misses);
   w->U64(s.deadline_missed);
   w->U64(s.forward_failures);
-  w->U64(s.graph_batches);
-  w->U64(s.graph_nodes);
   w->I64(s.max_micro_batch);
   w->I64(s.queue_depth);
   w->I64(s.queue_depth_interactive);
@@ -352,8 +350,6 @@ Status DecodeEngineStats(WireReader* r, serve::InferenceEngineStats* out) {
   s.cache_misses = r->U64();
   s.deadline_missed = r->U64();
   s.forward_failures = r->U64();
-  s.graph_batches = r->U64();
-  s.graph_nodes = r->U64();
   s.max_micro_batch = r->I64();
   s.queue_depth = r->I64();
   s.queue_depth_interactive = r->I64();
@@ -378,8 +374,6 @@ void AccumulateEngineStats(const serve::InferenceEngineStats& from,
   into->cache_misses += from.cache_misses;
   into->deadline_missed += from.deadline_missed;
   into->forward_failures += from.forward_failures;
-  into->graph_batches += from.graph_batches;
-  into->graph_nodes += from.graph_nodes;
   into->max_micro_batch = std::max(into->max_micro_batch, from.max_micro_batch);
   into->queue_depth += from.queue_depth;
   into->queue_depth_interactive += from.queue_depth_interactive;

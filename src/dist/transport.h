@@ -37,7 +37,10 @@ namespace rita {
 namespace dist {
 
 inline constexpr uint32_t kFrameMagic = 0x44544952;  // "RITD" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+/// Bumped whenever any payload layout changes, so a mixed-version fleet gets
+/// a typed kNotSupported instead of a misparsed or trailing-byte payload.
+/// v2: the engine-stats payload dropped the two task-graph counters.
+inline constexpr uint16_t kWireVersion = 2;
 /// Hard cap on one frame's payload: a garbage length prefix beyond this is
 /// rejected before any allocation. Generous for [T, C] series tensors.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;

@@ -73,10 +73,10 @@ class RitaModel : public SequenceModel {
   /// Everything in front of the encoder: conv windows, [CLS] tile,
   /// positional add, and (when `context` is non-null) the position-free
   /// summary-token prepend. Encode() is FrontendTokens -> encoder ->
-  /// (summary-row strip); the dataflow graph lowering calls these same
-  /// pieces, so the two paths are bit-identical by construction.
+  /// (summary-row strip); a staged caller (e.g. a per-stage benchmark) that
+  /// calls these same pieces is bit-identical by construction.
   ag::Variable FrontendTokens(const Tensor& batch, const Tensor* context);
-  /// Per-layer access for the graph lowering.
+  /// Per-layer access for staged callers.
   TransformerEncoder* encoder() { return &encoder_; }
 
   /// Applies the classification head to an Encode() output — lets callers

@@ -40,8 +40,8 @@ class TransformerEncoderLayer : public nn::Module {
   ag::Variable Forward(const ag::Variable& x) { return Forward(x, nullptr); }
   ag::Variable Forward(const ag::Variable& x, attn::ForwardState* state);
 
-  /// Stage-level pieces of Forward for the dataflow graph executor; Forward
-  /// is composed of exactly these calls, so the staged path is bit-identical.
+  /// Stage-level pieces of Forward for staged callers; Forward is composed
+  /// of exactly these calls, so the staged path is bit-identical.
   /// First residual block given the raw (pre-dropout) attention output.
   ag::Variable AttentionResidual(const ag::Variable& x, const ag::Variable& attended);
   /// Second residual block: h + FFN -> norm.
@@ -85,7 +85,7 @@ class TransformerEncoder : public nn::Module {
 
   const EncoderConfig& config() const { return config_; }
 
-  /// Per-layer access for the dataflow graph lowering.
+  /// Per-layer access for staged callers.
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
   TransformerEncoderLayer* layer(int64_t i) { return layers_[i].get(); }
 

@@ -79,7 +79,7 @@ class Gauge {
 
 // ---------------------------------------------------------------------------
 // MaxGauge: CAS-max high-water mark, resettable for windowed reporting
-// (max_micro_batch, max_compute_ms, graph_ready_high_water).
+// (max_micro_batch, max_compute_ms).
 
 class MaxGauge {
  public:

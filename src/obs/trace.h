@@ -3,10 +3,10 @@
 // A request sampled at admission (RITA_TRACE) carries a non-zero trace id on
 // its InferenceRequest. The id rides the scheduler into the executor, is
 // installed as a thread-local TraceContext around the forward (and re-
-// installed per graph node, since nodes run on pool threads), and every
-// instrumented scope on the way down — queue wait, batch forward, graph node,
-// kernel call — records a complete span into a bounded per-thread ring
-// buffer. obs::DumpTrace serializes the rings as Chrome trace_event JSON,
+// installed in every ExecutionContext::ParallelFor shard, since shards run on
+// pool threads), and every instrumented scope on the way down — queue wait,
+// batch forward, kernel call — records a complete span into a bounded
+// per-thread ring buffer. obs::DumpTrace serializes the rings as Chrome trace_event JSON,
 // loadable in chrome://tracing or https://ui.perfetto.dev.
 //
 // Cost model: when tracing is off, SampleTrace() is one relaxed atomic load
@@ -48,8 +48,9 @@ double TraceNowUs();
 double TraceUsAt(std::chrono::steady_clock::time_point t);
 
 // Thread-local trace context. The executor installs the active request's id
-// around the forward; graph nodes re-install it on pool threads, so kernel
-// call sites deep in the model pick it up without any API threading.
+// around the forward; ExecutionContext::ParallelFor re-installs it in every
+// shard on the pool threads, so kernel call sites deep in the model pick it
+// up without any API threading.
 struct TraceContext {
   uint64_t trace_id = 0;
 };

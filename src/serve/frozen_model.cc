@@ -238,18 +238,5 @@ Tensor FrozenModel::EmbedWithContext(const Tensor& batch, const Tensor* context,
   return ClsRows(model_->Encode(batch, &state, context).data());
 }
 
-Tensor FrozenModel::ForwardGraph(graph::ForwardTask task, const Tensor& batch,
-                                 const Tensor* context, Tensor* cls,
-                                 ExecutionContext* exec,
-                                 graph::GraphRunStats* stats) const {
-  ag::NoGradGuard guard;
-  attn::ForwardState state = MakeState(exec);
-  graph::ForwardGraphResult result = graph::RunForwardGraph(
-      model_.get(), task, batch, context, /*want_cls=*/cls != nullptr, &state);
-  if (cls != nullptr) *cls = result.cls;
-  if (stats != nullptr) *stats = result.stats;
-  return result.output;
-}
-
 }  // namespace serve
 }  // namespace rita

@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "graph/model_graph.h"
 #include "model/rita_model.h"
 #include "tensor/quantized_tensor.h"
 
@@ -33,8 +32,8 @@ class FrozenModel {
   /// bitwise-gated path; kInt8 / kBf16 quantize the replica's Q/K/V/output
   /// projections and FFN matrices at freeze time (per-output-channel
   /// symmetric int8 / bf16 truncation — see tensor/quantized_tensor.h) and
-  /// route every forward, sequential or graph-lowered, through the quantized
-  /// GEMM kernels. Norms, biases, the frontend and the task heads stay fp32.
+  /// route every forward through the quantized GEMM kernels. Norms, biases,
+  /// the frontend and the task heads stay fp32.
   /// Quantized variants trade bit-identity for an accuracy-delta gate
   /// (serve/accuracy_gate.h); freeze one source at several precisions and
   /// register them side by side for A/B serving.
@@ -106,6 +105,7 @@ class FrozenModel {
   // computed task output is bit-identical to the plain forwards above.
   // Not supported on Linformer models: the extra token would exceed the
   // length projection's locked token count (the engine rejects it upstream).
+  // These are the forwards the serving engine runs for every micro-batch.
 
   /// Contextual embeddings [B, 1 + n_win, dim]; row 0 is [CLS].
   Tensor EncodeWithContext(const Tensor& batch, const Tensor* context,
@@ -119,20 +119,6 @@ class FrozenModel {
   /// [CLS] embeddings [B, dim] under carried context.
   Tensor EmbedWithContext(const Tensor& batch, const Tensor* context,
                           ExecutionContext* exec = nullptr) const;
-
-  // -- Dataflow (task-graph) forward ---------------------------------------
-
-  /// Same computation as the task forwards above, lowered onto the
-  /// dependency-counted task graph: per-layer QKV / per-slice grouping /
-  /// row-tiled attention / join / FFN nodes executed by a ready-queue engine
-  /// over the execution context's pool. Outputs are bitwise identical to the
-  /// sequential forwards at any pool width. `context` is null or [B, dim];
-  /// `cls` (optional out) receives the [CLS] rows from the same encode;
-  /// `stats` (optional out) receives the graph run counters.
-  Tensor ForwardGraph(graph::ForwardTask task, const Tensor& batch,
-                      const Tensor* context, Tensor* cls,
-                      ExecutionContext* exec = nullptr,
-                      graph::GraphRunStats* stats = nullptr) const;
 
  private:
   attn::ForwardState MakeState(ExecutionContext* context) const;

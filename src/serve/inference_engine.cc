@@ -1,7 +1,6 @@
 #include "serve/inference_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -14,13 +13,6 @@
 
 namespace rita {
 namespace serve {
-
-bool DefaultGraphExecutorEnabled() {
-  const char* env = std::getenv("RITA_GRAPH_EXECUTOR");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "off" || value == "OFF" || value == "0" || value == "false");
-}
 
 namespace {
 
@@ -149,12 +141,6 @@ InferenceEngine::ScopeMetrics InferenceEngine::RegisterScope(
   m.forward_failures = metrics_->GetCounter(
       "rita_forward_failures_total",
       "Micro-batches whose forward threw (riders resolved Internal)", labels);
-  m.graph_batches = metrics_->GetCounter(
-      "rita_graph_batches_total",
-      "Micro-batches executed through the dataflow task graph", labels);
-  m.graph_nodes = metrics_->GetCounter(
-      "rita_graph_nodes_total", "Task-graph nodes executed, summed over runs",
-      labels);
   m.queue_ms = metrics_->GetHistogram(
       "rita_queue_latency_ms",
       "Per-request wait from Submit() to micro-batch assembly (ms)", labels);
@@ -162,21 +148,12 @@ InferenceEngine::ScopeMetrics InferenceEngine::RegisterScope(
       "rita_compute_latency_ms", "Per-micro-batch forward time (ms)", labels);
   m.batch_size = metrics_->GetHistogram(
       "rita_micro_batch_size", "Coalesced micro-batch sizes", labels);
-  m.critical_path_ms = metrics_->GetHistogram(
-      "rita_graph_critical_path_ms",
-      "Per-run critical-path length through the task graph (ms)", labels);
-  m.graph_idle_ms = metrics_->GetHistogram(
-      "rita_graph_idle_ms",
-      "Per-run worker-idle approximation from GraphRunStats (ms)", labels);
   m.max_micro_batch = metrics_->GetMaxGauge(
       "rita_micro_batch_max",
       "Largest coalesced micro-batch this stats window", labels);
   m.max_compute_ms = metrics_->GetMaxGauge(
       "rita_compute_latency_max_ms",
       "Slowest single micro-batch forward this stats window (ms)", labels);
-  m.graph_ready_high_water = metrics_->GetMaxGauge(
-      "rita_graph_ready_high_water",
-      "Max ready+running task-graph nodes this stats window", labels);
   return m;
 }
 
@@ -270,7 +247,7 @@ std::future<InferenceResponse> InferenceEngine::Submit(InferenceRequest request)
   RejectKind reject_kind = RejectKind::kInvalid;
 
   // Trace sampling at admission: a sampled request carries a non-zero id all
-  // the way through the scheduler, executor, graph nodes and kernel calls.
+  // the way through the scheduler, executor and kernel calls.
   // One relaxed load when tracing is off; never touches request data.
   if (invalid.ok() && request.trace_id == 0) {
     request.trace_id = obs::SampleTrace();
@@ -435,7 +412,7 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
 
   // Close the traced riders' queue spans: enqueued -> assembled-here. The
   // whole batch's forward runs under the first traced rider's context, so
-  // graph-node and kernel spans attach to that id.
+  // kernel spans attach to that id.
   uint64_t batch_trace = 0;
   bool any_trace = false;
   for (int64_t i = 0; i < b; ++i) {
@@ -458,30 +435,15 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
   Stopwatch compute;
   Tensor output;  // rows are per-request results
   Tensor cls;     // [B, dim] when any rider wants its [CLS] back
-  graph::GraphRunStats graph_stats;
-  bool ran_graph = false;
   Status forward_status = Status::OK();
   {
-    // Install the trace context for the forward: the graph executor captures
-    // it at Run() entry and re-installs it per node on the pool threads.
+    // Install the trace context for the forward: ExecutionContext::ParallelFor
+    // re-installs it in every shard, so kernel spans on pool threads attach
+    // to this batch's id too.
     obs::ScopedTrace batch_trace_scope(batch_trace);
     obs::Span forward_span(batch_trace, "batch_forward", "serve");
-  try {
-    if (options_.forward_fault_for_testing) options_.forward_fault_for_testing();
-    if (options_.use_graph_executor) {
-      // Dataflow path: the forward decomposes into dependency-counted nodes
-      // executed by the ready-queue engine over the shared pool — bitwise
-      // identical to the sequential calls below, but intra-request parallel,
-      // and nodes of concurrent micro-batches interleave in the queue.
-      const graph::ForwardTask graph_task =
-          task == ServeTask::kClassify ? graph::ForwardTask::kClassLogits
-          : task == ServeTask::kEmbed ? graph::ForwardTask::kEmbed
-                                      : graph::ForwardTask::kReconstruct;
-      output = model->ForwardGraph(graph_task, stacked, context_ptr,
-                                   want_cls ? &cls : nullptr, options_.context,
-                                   &graph_stats);
-      ran_graph = true;
-    } else {
+    try {
+      if (options_.forward_fault_for_testing) options_.forward_fault_for_testing();
       switch (task) {
         case ServeTask::kClassify:
           output = model->ClassLogitsWithContext(stacked, context_ptr,
@@ -498,12 +460,11 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
                                                  options_.context);
           break;
       }
+    } catch (const std::exception& e) {
+      forward_status = Status::Internal(std::string("forward failed: ") + e.what());
+    } catch (...) {
+      forward_status = Status::Internal("forward failed with an unknown exception");
     }
-  } catch (const std::exception& e) {
-    forward_status = Status::Internal(std::string("forward failed: ") + e.what());
-  } catch (...) {
-    forward_status = Status::Internal("forward failed with an unknown exception");
-  }
   }
 
   if (!forward_status.ok()) {
@@ -602,18 +563,6 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
     if (missed_deadlines != 0) {
       agg_.deadline_missed->Add(missed_deadlines);
       pm.deadline_missed->Add(missed_deadlines);
-    }
-    if (ran_graph) {
-      const auto bump_graph = [&graph_stats](const ScopeMetrics& m) {
-        m.graph_batches->Add(1);
-        m.graph_nodes->Add(static_cast<uint64_t>(graph_stats.nodes));
-        m.critical_path_ms->Observe(graph_stats.critical_path_ms);
-        m.graph_idle_ms->Observe(graph_stats.worker_idle_ms);
-        m.graph_ready_high_water->Observe(
-            static_cast<double>(graph_stats.ready_high_water));
-      };
-      bump_graph(agg_);
-      bump_graph(pm);
     }
   }
   {
@@ -733,12 +682,6 @@ InferenceEngineStats InferenceEngine::ReadScope(const ScopeMetrics& m) const {
   s.total_queue_ms = m.queue_ms->Sum();
   s.total_compute_ms = m.compute_ms->Sum();
   s.max_compute_ms = m.max_compute_ms->Value();
-  s.graph_batches = m.graph_batches->Value();
-  s.graph_nodes = m.graph_nodes->Value();
-  s.total_critical_path_ms = m.critical_path_ms->Sum();
-  s.total_graph_idle_ms = m.graph_idle_ms->Sum();
-  s.graph_ready_high_water =
-      static_cast<int64_t>(m.graph_ready_high_water->Value());
   return s;
 }
 
@@ -764,12 +707,6 @@ void SubtractWindowBase(InferenceEngineStats* s,
   s->forward_failures = sub_u(s->forward_failures, base.forward_failures);
   s->total_queue_ms = sub_d(s->total_queue_ms, base.total_queue_ms);
   s->total_compute_ms = sub_d(s->total_compute_ms, base.total_compute_ms);
-  s->graph_batches = sub_u(s->graph_batches, base.graph_batches);
-  s->graph_nodes = sub_u(s->graph_nodes, base.graph_nodes);
-  s->total_critical_path_ms =
-      sub_d(s->total_critical_path_ms, base.total_critical_path_ms);
-  s->total_graph_idle_ms =
-      sub_d(s->total_graph_idle_ms, base.total_graph_idle_ms);
 }
 
 }  // namespace
@@ -786,7 +723,6 @@ void InferenceEngine::ResetStatsWindow() {
   const auto reset_marks = [](const ScopeMetrics& m) {
     m.max_micro_batch->Reset();
     m.max_compute_ms->Reset();
-    m.graph_ready_high_water->Reset();
   };
   reset_marks(agg_);
   for (const ScopeMetrics& m : per_model_) reset_marks(m);

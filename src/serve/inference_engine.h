@@ -45,10 +45,6 @@
 namespace rita {
 namespace serve {
 
-/// Resolves the RITA_GRAPH_EXECUTOR environment variable: unset, "on", "1"
-/// -> true (the default); "off", "0", "false" -> false.
-bool DefaultGraphExecutorEnabled();
-
 struct InferenceEngineStats;
 
 struct InferenceEngineOptions {
@@ -82,12 +78,6 @@ struct InferenceEngineOptions {
   /// Resume(). Lets callers pre-fill the queue (warmup, deterministic
   /// batching tests) or delay serving until the model is ready.
   bool start_paused = false;
-  /// Run forwards through the dataflow task-graph executor (per-layer QKV /
-  /// per-slice grouping / row-tiled attention nodes on the shared pool;
-  /// bitwise identical to the sequential forwards — see graph/model_graph.h).
-  /// Defaults from the RITA_GRAPH_EXECUTOR env var; off falls back to the
-  /// monolithic sequential forwards.
-  bool use_graph_executor = DefaultGraphExecutorEnabled();
   /// Test-only fault injection: when set, invoked immediately before every
   /// micro-batch forward. A throwing hook exercises the clean-failure path —
   /// every rider resolves with an Internal status, the worker slot frees,
@@ -130,17 +120,8 @@ struct InferenceEngineStats {
   // recalibrates from, in place of the analytic MemoryModel.
   double total_compute_ms = 0.0; // summed over batches
   double max_compute_ms = 0.0;   // slowest single batch observed
-
-  // Dataflow-executor observability (all zero while the sequential path
-  // runs). Idle is the per-run wall*pool_width - busy approximation from
-  // GraphRunStats — a utilization hint, not an exact accounting.
-  uint64_t graph_batches = 0;      // forwards executed as task graphs
-  uint64_t graph_nodes = 0;        // summed node count over graph batches
-  double total_critical_path_ms = 0.0;  // summed critical-path lengths
-  double total_graph_idle_ms = 0.0;     // summed worker-idle approximations
-  int64_t graph_ready_high_water = 0;   // max ready/running nodes observed
-  uint64_t forward_failures = 0;   // micro-batches whose forward threw (all
-                                   // riders resolved with Internal status)
+  uint64_t forward_failures = 0; // micro-batches whose forward threw (all
+                                 // riders resolved with Internal status)
 
   // Instantaneous load snapshot (consistent: taken under the queue mutex).
   int64_t queue_depth = 0;
@@ -183,24 +164,6 @@ struct InferenceEngineStats {
     return batches == 0 ? 0.0
                         : static_cast<double>(completed - cache_hits) /
                               static_cast<double>(batches);
-  }
-  /// Mean node count per graph-executed micro-batch.
-  double AvgGraphNodes() const {
-    return graph_batches == 0 ? 0.0
-                              : static_cast<double>(graph_nodes) /
-                                    static_cast<double>(graph_batches);
-  }
-  /// Mean critical-path length per graph-executed micro-batch.
-  double AvgCriticalPathMs() const {
-    return graph_batches == 0
-               ? 0.0
-               : total_critical_path_ms / static_cast<double>(graph_batches);
-  }
-  /// Mean worker-idle capacity per graph-executed micro-batch.
-  double AvgGraphIdleMs() const {
-    return graph_batches == 0
-               ? 0.0
-               : total_graph_idle_ms / static_cast<double>(graph_batches);
   }
   double CacheHitRatio() const {
     const uint64_t lookups = cache_hits + cache_misses;
@@ -254,9 +217,8 @@ class InferenceEngine {
 
   /// Starts a fresh reporting window: subsequent stats()/model_stats() count
   /// from here (per-interval rates for long-running processes), and the
-  /// high-water marks (max_micro_batch, max_compute_ms,
-  /// graph_ready_high_water) restart from zero instead of sticking at
-  /// lifetime maxima. The underlying metrics stay cumulative for Prometheus.
+  /// high-water marks (max_micro_batch, max_compute_ms) restart from zero
+  /// instead of sticking at lifetime maxima. The underlying metrics stay cumulative for Prometheus.
   void ResetStatsWindow();
 
   /// The registry backing this engine's metrics (engine-owned unless
@@ -290,16 +252,11 @@ class InferenceEngine {
     obs::Counter* cache_misses = nullptr;
     obs::Counter* deadline_missed = nullptr;
     obs::Counter* forward_failures = nullptr;
-    obs::Counter* graph_batches = nullptr;
-    obs::Counter* graph_nodes = nullptr;
     obs::Histogram* queue_ms = nullptr;
     obs::Histogram* compute_ms = nullptr;
     obs::Histogram* batch_size = nullptr;
-    obs::Histogram* critical_path_ms = nullptr;
-    obs::Histogram* graph_idle_ms = nullptr;
     obs::MaxGauge* max_micro_batch = nullptr;
     obs::MaxGauge* max_compute_ms = nullptr;
-    obs::MaxGauge* graph_ready_high_water = nullptr;
   };
 
   /// Shared constructor tail: checks, freezes the registry, builds the

@@ -1,6 +1,7 @@
 #include "util/execution_context.h"
 
 #include "autograd/variable.h"
+#include "obs/trace.h"
 
 namespace rita {
 
@@ -26,10 +27,12 @@ void ExecutionContext::ParallelFor(int64_t begin, int64_t end,
                                    const std::function<void(int64_t, int64_t)>& body,
                                    int64_t min_shard) const {
   const bool grad_mode = ag::GradModeEnabled();
+  const uint64_t trace_id = obs::CurrentTrace().trace_id;
   pool()->ParallelFor(
       begin, end,
-      [&body, grad_mode](int64_t b, int64_t e) {
+      [&body, grad_mode, trace_id](int64_t b, int64_t e) {
         ScopedGradMode scope(grad_mode);
+        obs::ScopedTrace trace(trace_id);
         body(b, e);
       },
       min_shard);

@@ -102,11 +102,12 @@ class ExecutionContext {
   int num_threads() const { return pool()->num_threads(); }
 
   /// ParallelFor over this context's pool that additionally propagates the
-  /// CALLER's autograd grad mode into every shard. Grad mode is thread_local,
-  /// so a NoGradGuard held by the caller would otherwise not apply inside
-  /// pool workers — an inference pass could silently record graphs in its
-  /// parallel shards. All forward/backward slice loops go through this
-  /// wrapper rather than pool()->ParallelFor directly.
+  /// CALLER's autograd grad mode and obs trace context into every shard.
+  /// Both are thread_local, so a NoGradGuard held by the caller would
+  /// otherwise not apply inside pool workers — an inference pass could
+  /// silently record graphs in its parallel shards — and kernel spans on pool
+  /// threads would lose the request's trace id. All forward/backward slice
+  /// loops go through this wrapper rather than pool()->ParallelFor directly.
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t, int64_t)>& body,
                    int64_t min_shard = 1) const;

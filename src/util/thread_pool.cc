@@ -83,55 +83,6 @@ void ThreadPool::Wait() {
   if (error) std::rethrow_exception(error);
 }
 
-ThreadPool::TaskScope::~TaskScope() {
-  // A scope must not die while its tasks are in flight (they hold a raw
-  // pointer to group_). Drain, discarding any stashed exception — callers
-  // that care call Wait() themselves before destruction.
-  try {
-    Wait();
-  } catch (...) {
-  }
-}
-
-void ThreadPool::TaskScope::Submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(group_.mu);
-    ++group_.pending;
-  }
-  std::vector<Task> tasks;
-  tasks.push_back(Task{std::move(fn), &group_});
-  pool_->Enqueue(std::move(tasks));
-}
-
-void ThreadPool::TaskScope::Wait() {
-  // Same help-while-waiting loop as ParallelFor: execute queued work (ours or
-  // anyone else's) until this scope's tasks have all completed; only sleep
-  // once the queue is empty, at which point the claiming threads guarantee
-  // progress. Scope tasks may Submit() more scope tasks — the running task's
-  // own pending count keeps the group alive across the increment, so pending
-  // never transiently hits zero while work remains.
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(group_.mu);
-      if (group_.pending == 0) break;
-    }
-    Task task;
-    if (pool_->TryPop(&task)) {
-      RunTask(&task);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(group_.mu);
-    group_.cv.wait(lock, [this] { return group_.pending == 0; });
-    break;
-  }
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(group_.mu);
-    error = std::exchange(group_.error, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     Task task;

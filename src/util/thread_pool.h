@@ -33,18 +33,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
- private:
-  // Completion state for one ParallelFor call, one TaskScope, or the
-  // pool-wide Submit group. Defined up here so the public TaskScope below
-  // can embed one.
-  struct TaskGroup {
-    std::mutex mu;
-    std::condition_variable cv;
-    int64_t pending = 0;
-    std::exception_ptr error;  // first exception raised by a member task
-  };
-
- public:
   /// Enqueues a fire-and-forget task; returns immediately. Tasks submitted
   /// here are tracked by a pool-wide group that Wait() drains. Tasks must not
   /// throw; a throwing task's exception is stashed and rethrown from Wait().
@@ -54,37 +42,6 @@ class ThreadPool {
   /// ParallelFor shards — those are tracked per call. Rethrows the first
   /// exception a submitted task raised, if any.
   void Wait();
-
-  /// A caller-owned completion scope over a set of dynamically submitted
-  /// tasks. Unlike the pool-wide Submit()/Wait() pair (one global group), a
-  /// TaskScope tracks only its own tasks, so independent scopes — e.g. two
-  /// concurrently executing task graphs — never wait on each other's work.
-  /// Tasks may submit further tasks into their own scope (the dependency-
-  /// counted graph executor schedules newly-ready nodes from completing
-  /// ones); the count of a running task keeps the scope alive while it does.
-  /// Wait() uses the same help-while-waiting discipline as ParallelFor: the
-  /// waiting thread drains queued work (its own scope's or anyone else's)
-  /// instead of blocking, so scopes nest safely inside pool tasks.
-  class TaskScope {
-   public:
-    explicit TaskScope(ThreadPool* pool) : pool_(pool) {}
-    ~TaskScope();
-
-    TaskScope(const TaskScope&) = delete;
-    TaskScope& operator=(const TaskScope&) = delete;
-
-    /// Enqueues one task tracked by this scope; returns immediately.
-    void Submit(std::function<void()> fn);
-
-    /// Blocks until every task submitted to this scope has completed,
-    /// executing queued work while it waits. Rethrows the first exception a
-    /// scope task raised (later calls see a clean slate).
-    void Wait();
-
-   private:
-    ThreadPool* pool_;
-    TaskGroup group_;
-  };
 
   /// Splits [begin, end) into contiguous shards and runs
   /// `body(shard_begin, shard_end)` across the pool, blocking until done.
@@ -102,6 +59,14 @@ class ThreadPool {
   static ThreadPool* Global();
 
  private:
+  // Completion state for one ParallelFor call or the pool-wide Submit group.
+  struct TaskGroup {
+    std::mutex mu;
+    std::condition_variable cv;
+    int64_t pending = 0;
+    std::exception_ptr error;  // first exception raised by a member task
+  };
+
   struct Task {
     std::function<void()> fn;
     TaskGroup* group;

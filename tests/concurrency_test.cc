@@ -13,6 +13,7 @@
 #include "cluster/kmeans.h"
 #include "core/group_attention.h"
 #include "model/rita_model.h"
+#include "obs/trace.h"
 #include "util/execution_context.h"
 #include "util/thread_pool.h"
 
@@ -223,6 +224,35 @@ TEST(GradModePropagationTest, NoGradForwardBuildsNoGraphInPoolWorkers) {
   ag::NoGradGuard guard;
   ag::Variable out = mech.Forward(q, k, v);
   EXPECT_EQ(out.grad_fn(), nullptr);
+}
+
+// The obs trace context is thread_local too: every shard must run under the
+// caller's trace id, so kernel spans on pool workers join the request's
+// trace, and workers must drop it again afterwards. The inline shard holds
+// the caller until the other three have run, which forces them onto workers.
+TEST(TracePropagationTest, ShardsOnPoolWorkersRunUnderCallersTrace) {
+  ThreadPool pool(4);
+  ExecutionContext context(&pool);
+  std::vector<uint64_t> observed(4, 0);
+  std::atomic<int> done{0};
+  {
+    obs::ScopedTrace trace(42);
+    context.ParallelFor(0, 4, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) observed[i] = obs::CurrentTrace().trace_id;
+      if (lo == 0) {
+        while (done.load() < 3) std::this_thread::yield();
+      } else {
+        done.fetch_add(1);
+      }
+    });
+  }
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(observed[i], 42u) << "shard " << i;
+
+  std::atomic<int> traced{0};
+  context.ParallelFor(0, 64, [&](int64_t lo, int64_t hi) {
+    if (obs::CurrentTrace().trace_id != 0) traced.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(traced.load(), 0) << "a worker kept a finished caller's trace";
 }
 
 TEST(SliceRngTest, CounterBasedStreamsAreReproducibleAndDistinct) {

@@ -256,21 +256,20 @@ TEST(DistSerdeTest, EngineStatsRoundTripAndAccumulate) {
   a.total_queue_ms = 9.5;
   a.total_compute_ms = 10.5;
   a.max_compute_ms = 11.5;
-  a.graph_batches = 12;
-  a.graph_nodes = 13;
-  a.total_critical_path_ms = 14.5;
-  a.total_graph_idle_ms = 15.5;
-  a.graph_ready_high_water = 16;
   a.forward_failures = 17;
   a.queue_depth = 18;
 
   WireWriter w;
   EncodeEngineStats(a, &w);
+  // Layout pin (wire v2): 9 u64 counters, 5 i64 gauges, 3 f64 sums/maxima.
+  EXPECT_EQ(w.buffer().size(), 17u * 8u);
+  EXPECT_EQ(kWireVersion, 2);
   WireReader r(w.buffer());
   serve::InferenceEngineStats decoded;
   ASSERT_TRUE(DecodeEngineStats(&r, &decoded).ok());
   ASSERT_TRUE(r.Finish().ok());
   EXPECT_EQ(decoded.completed, a.completed);
+  EXPECT_EQ(decoded.forward_failures, a.forward_failures);
   EXPECT_EQ(decoded.max_micro_batch, a.max_micro_batch);
   EXPECT_EQ(decoded.total_compute_ms, a.total_compute_ms);
   EXPECT_EQ(decoded.queue_depth, a.queue_depth);
@@ -470,22 +469,28 @@ TEST(DistTransportTest, BadMagicIsTypedInvalidArgument) {
   EXPECT_NE(st.message().find("magic"), std::string::npos);
 }
 
+// Both directions of skew, including a peer still on the previous layout
+// (v1 stats payloads carried two more counters), fail typed, not as a decode
+// error on the payload.
 TEST(DistTransportTest, VersionSkewIsTypedNotSupported) {
-  SocketPair sp;
-  uint8_t header[12] = {0};
-  const uint32_t magic = kFrameMagic;
-  const uint16_t wrong_version = kWireVersion + 1;
-  const uint16_t type_req = 1;
-  const uint32_t len = 0;
-  std::memcpy(header + 0, &magic, 4);
-  std::memcpy(header + 4, &wrong_version, 2);
-  std::memcpy(header + 6, &type_req, 2);
-  std::memcpy(header + 8, &len, 4);
-  SendRaw(sp.a, header, sizeof(header));
-  MessageType type;
-  std::vector<uint8_t> payload;
-  EXPECT_EQ(sp.b.ReadFrame(&type, &payload, 1000.0, 1000.0).code(),
-            StatusCode::kNotSupported);
+  for (const uint16_t wrong_version : {static_cast<uint16_t>(kWireVersion - 1),
+                                       static_cast<uint16_t>(kWireVersion + 1)}) {
+    SocketPair sp;
+    uint8_t header[12] = {0};
+    const uint32_t magic = kFrameMagic;
+    const uint16_t type_req = 1;
+    const uint32_t len = 0;
+    std::memcpy(header + 0, &magic, 4);
+    std::memcpy(header + 4, &wrong_version, 2);
+    std::memcpy(header + 6, &type_req, 2);
+    std::memcpy(header + 8, &len, 4);
+    SendRaw(sp.a, header, sizeof(header));
+    MessageType type;
+    std::vector<uint8_t> payload;
+    EXPECT_EQ(sp.b.ReadFrame(&type, &payload, 1000.0, 1000.0).code(),
+              StatusCode::kNotSupported)
+        << "version " << wrong_version;
+  }
 }
 
 TEST(DistTransportTest, OversizedLengthPrefixRejectedBeforeAllocation) {

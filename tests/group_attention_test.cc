@@ -1,13 +1,18 @@
 // Correctness tests for group attention (the paper's core contribution):
-// Lemma 3 exact-equivalence, Lemma 1 error bound, fused-backward gradcheck.
+// Lemma 3 exact-equivalence, Lemma 1 error bound, fused-backward gradcheck,
+// and pool-width bit-identity of the narrow (pool-parallel k-means, row-tiled
+// attention) inference path. Run under TSan and ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "attention/attention.h"
 #include "autograd/gradcheck.h"
 #include "core/group_attention.h"
 #include "tensor/tensor_ops.h"
+#include "util/execution_context.h"
+#include "util/thread_pool.h"
 
 namespace rita {
 namespace core {
@@ -248,6 +253,40 @@ TEST(GroupAttentionTest, FewerGroupsUseLessScoreMemory) {
   attn::VanillaAttention vanilla(4, 0.0f, &r2);
   const int64_t n = 1000;
   EXPECT_LT(mech.ScoreMatrixElements(n), vanilla.ScoreMatrixElements(n));
+}
+
+// With fewer slices than pool threads, inference spreads each slice's
+// k-means across the pool and splits its attention rows into tiles. Neither
+// may change a bit: width 1 (never narrow) is the reference, width 2 is wide
+// for 2 slices, and widths 3/4/8 cut 200 rows into 3/4/8 uneven tiles.
+TEST(GroupAttentionTest, NarrowInferenceBitIdenticalAcrossPoolWidths) {
+  const int64_t bh = 2, n = 200, d = 8;
+  Rng data_rng(9);
+  const Tensor q = Tensor::RandNormal({bh, n, d}, &data_rng);
+  const Tensor k = Tensor::RandNormal({bh, n, d}, &data_rng);
+  const Tensor v = Tensor::RandNormal({bh, n, d}, &data_rng);
+  auto run = [&](int threads) {
+    ThreadPool pool(threads);
+    ExecutionContext context(&pool);
+    Rng rng(77);
+    GroupAttentionOptions opts;
+    opts.num_groups = 16;
+    opts.collect_snapshots = false;
+    GroupAttentionMechanism mech(d, opts, &rng);
+    attn::ForwardState state;
+    state.context = &context;
+    state.stochastic = false;
+    ag::NoGradGuard guard;
+    return mech.Forward(ag::Variable(q), ag::Variable(k), ag::Variable(v), &state)
+        .data();
+  };
+  const Tensor want = run(1);
+  for (int threads : {2, 3, 4, 8}) {
+    const Tensor got = run(threads);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), sizeof(float) * want.numel()), 0)
+        << "narrow inference differs at pool width " << threads;
+  }
 }
 
 }  // namespace

@@ -10,9 +10,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -23,6 +25,8 @@
 #include "serve/frozen_model.h"
 #include "serve/inference_engine.h"
 #include "serve/model_registry.h"
+#include "util/execution_context.h"
+#include "util/thread_pool.h"
 
 namespace rita {
 namespace obs {
@@ -278,8 +282,6 @@ TEST(EngineObsTest, PerModelStatsSumToAggregateUnderLoad) {
   EXPECT_EQ(agg.cache_misses, m0.cache_misses + m1.cache_misses);
   EXPECT_EQ(agg.deadline_missed, m0.deadline_missed + m1.deadline_missed);
   EXPECT_EQ(agg.forward_failures, m0.forward_failures + m1.forward_failures);
-  EXPECT_EQ(agg.graph_batches, m0.graph_batches + m1.graph_batches);
-  EXPECT_EQ(agg.graph_nodes, m0.graph_nodes + m1.graph_nodes);
   EXPECT_GE(agg.max_micro_batch,
             std::max(m0.max_micro_batch, m1.max_micro_batch));
   const double sum_compute = m0.total_compute_ms + m1.total_compute_ms;
@@ -310,12 +312,10 @@ TEST(EngineObsTest, PrometheusExportListsEveryEngineMetric) {
        {"rita_requests_completed_total", "rita_requests_rejected_total",
         "rita_batches_total", "rita_cache_hits_total",
         "rita_cache_misses_total", "rita_deadline_missed_total",
-        "rita_forward_failures_total", "rita_graph_batches_total",
-        "rita_graph_nodes_total", "rita_queue_latency_ms",
+        "rita_forward_failures_total", "rita_queue_latency_ms",
         "rita_compute_latency_ms", "rita_micro_batch_size",
-        "rita_graph_critical_path_ms", "rita_graph_idle_ms",
         "rita_micro_batch_max", "rita_compute_latency_max_ms",
-        "rita_graph_ready_high_water", "rita_queue_depth",
+        "rita_queue_depth",
         "rita_in_flight_batches", "rita_cache_bytes", "rita_cache_entries",
         "rita_model_weight_bytes", "rita_model_precision"}) {
     EXPECT_NE(text.find(family), std::string::npos)
@@ -410,7 +410,6 @@ TEST(EngineObsTest, StatsLoggerHookReceivesSnapshots) {
 std::vector<Tensor> RunTraceWorkload(const FrozenModel* frozen, int requests) {
   InferenceEngineOptions options;
   options.num_workers = 2;
-  options.use_graph_executor = true;  // node + kernel spans ride the graph
   InferenceEngine engine(frozen, options);
   std::vector<std::future<InferenceResponse>> futures;
   futures.reserve(requests);
@@ -454,16 +453,16 @@ TEST(TraceTest, TracingIsBitwiseNeutral) {
   }
 
   // The dump shows the whole request lifecycle: admission and queue wait,
-  // the batch forward, per-node graph spans and kernel spans, nested by
-  // containment on their thread tracks.
+  // the batch forward and its kernel spans, nested by containment on their
+  // thread tracks.
   std::ostringstream dump;
   DumpTraceTo(dump);
   const std::string json = dump.str();
   for (const char* needle :
        {"\"admission\"", "\"queue\"", "\"batch_forward\"", "\"request\"",
-        "\"cat\":\"serve\"", "\"cat\":\"graph\"", "\"cat\":\"kernel\"",
+        "\"cat\":\"serve\"", "\"cat\":\"kernel\"",
         "\"kmeans_grouping\"", "\"fused_group_attention\"",
-        "\"qkv_projection_gemm\"", "\"frontend\"", "trace_id"}) {
+        "\"qkv_projection_gemm\"", "trace_id"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "trace dump missing " << needle;
   }
@@ -477,6 +476,86 @@ TEST(TraceTest, TracingIsBitwiseNeutral) {
   file_contents << in.rdbuf();
   EXPECT_NE(file_contents.str().find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(file_contents.str().find("\"ph\":\"X\""), std::string::npos);
+  ClearTraceForTesting();
+}
+
+// One dumped span: DumpTraceTo writes one event per line.
+struct DumpedSpan {
+  std::string name;
+  std::string cat;
+  uint64_t trace_id = 0;
+};
+
+std::vector<DumpedSpan> ParseTraceDump(const std::string& json) {
+  const auto field = [](const std::string& line, const std::string& key) {
+    const size_t at = line.find("\"" + key + "\":\"");
+    if (at == std::string::npos) return std::string();
+    const size_t begin = at + key.size() + 4;
+    return line.substr(begin, line.find('"', begin) - begin);
+  };
+  std::vector<DumpedSpan> spans;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t id_at = line.find("\"trace_id\":");
+    if (id_at == std::string::npos) continue;
+    DumpedSpan span;
+    span.name = field(line, "name");
+    span.cat = field(line, "cat");
+    span.trace_id = std::strtoull(line.c_str() + id_at + 11, nullptr, 10);
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+// A sampled request's trace holds its serve spans and every kernel span of
+// its forward under its own trace_id. B=1 gives 2 (batch*head) slices on a
+// 4-wide pool, so group attention runs narrow: pool-parallel k-means and four
+// row tiles per 65-token slice. The slice and tile shards that land on pool
+// workers carry the id only because ExecutionContext::ParallelFor
+// re-installs the caller's trace in each shard.
+TEST(TraceTest, SampledRequestRecordsKernelSpansUnderItsTraceId) {
+  model::RitaConfig config = SmallConfig();
+  config.input_length = 320;  // 64 windows + [CLS] = 65 tokens
+  Rng rng(71);
+  model::RitaModel source(config, &rng);
+  FrozenModel frozen(source);
+  ThreadPool pool(4);
+  ExecutionContext exec(&pool);
+  InferenceEngineOptions options;
+  options.num_workers = 1;
+  options.context = &exec;
+  InferenceEngine engine(&frozen, options);
+
+  ClearTraceForTesting();
+  SetTracingForTesting(1);
+  InferenceRequest request;
+  request.series = MakeSeries(320, 2, 77);
+  request.task = ServeTask::kReconstruct;
+  ASSERT_TRUE(engine.Run(std::move(request)).status.ok());
+  SetTracingForTesting(0);
+
+  std::ostringstream dump;
+  DumpTraceTo(dump);
+  const std::vector<DumpedSpan> spans = ParseTraceDump(dump.str());
+  uint64_t trace_id = 0;
+  for (const DumpedSpan& span : spans) {
+    if (span.name == "request") trace_id = span.trace_id;
+  }
+  ASSERT_NE(trace_id, 0u) << "no request span in the dump";
+
+  std::map<std::string, int> serve, kernel;
+  for (const DumpedSpan& span : spans) {
+    EXPECT_EQ(span.trace_id, trace_id) << span.name << " under a foreign id";
+    if (span.cat == "serve") ++serve[span.name];
+    if (span.cat == "kernel") ++kernel[span.name];
+  }
+  for (const char* name : {"admission", "queue", "batch_forward", "request"}) {
+    EXPECT_EQ(serve[name], 1) << name;
+  }
+  const int layers = 2, slices = 2, tiles = 4;
+  EXPECT_EQ(kernel["qkv_projection_gemm"], 3 * layers);
+  EXPECT_EQ(kernel["kmeans_grouping"], layers * slices);
+  EXPECT_EQ(kernel["fused_group_attention"], layers * slices * tiles);
   ClearTraceForTesting();
 }
 

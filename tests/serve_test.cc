@@ -6,12 +6,16 @@
 // RITA_SANITIZE=thread in CI.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <future>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/batch_planner.h"
+#include "linalg/kernels/kernels.h"
 #include "serve/accuracy_gate.h"
 #include "serve/frozen_model.h"
 #include "serve/inference_engine.h"
@@ -468,6 +472,70 @@ TEST(FrozenModelTest, ContextConditionedForwards) {
   EXPECT_FALSE(BitEqual(recon, frozen.Reconstruct(batch)));
 }
 
+// Every task forward (with its [CLS] out where it has one) over one batch.
+std::vector<Tensor> AllTaskForwards(const FrozenModel& frozen, const Tensor& batch,
+                                    const Tensor* context, ExecutionContext* exec) {
+  std::vector<Tensor> out(5);
+  out[0] = frozen.ClassLogitsWithContext(batch, context, &out[1], exec);
+  out[2] = frozen.ReconstructWithContext(batch, context, &out[3], exec);
+  out[4] = frozen.EmbedWithContext(batch, context, exec);
+  return out;
+}
+
+// The serving forwards are bitwise identical at any pool width. Width 1
+// never takes group attention's narrow path (B*H below the pool width:
+// pool-parallel k-means plus row-tiled attention), so it is the reference.
+// B=1 (2 slices) runs narrow at widths 4 and 8; B=3 (6 slices) runs wide at
+// 2 and 4 and narrow at 8. 65 tokens allow up to four row tiles per slice.
+TEST(FrozenModelTest, ForwardsBitIdenticalAcrossPoolWidths) {
+  const kernels::Backend restore = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) backends.push_back(kernels::Backend::kSimd);
+  const int kWidths[] = {2, 4, 8};
+  ThreadPool solo(1);
+  ExecutionContext reference(&solo);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  std::vector<std::unique_ptr<ExecutionContext>> contexts;
+  for (int width : kWidths) {
+    pools.push_back(std::make_unique<ThreadPool>(width));
+    contexts.push_back(std::make_unique<ExecutionContext>(pools.back().get()));
+  }
+
+  for (attn::AttentionKind kind :
+       {attn::AttentionKind::kGroup, attn::AttentionKind::kVanilla}) {
+    model::RitaConfig config = SmallConfig(kind);
+    config.input_length = 320;  // 64 windows + [CLS] = 65 tokens
+    Rng rng(42);
+    model::RitaModel source(config, &rng);
+    FrozenModel frozen(source);
+    for (kernels::Backend backend : backends) {
+      kernels::SetBackendForTesting(backend);
+      for (int64_t b : {1, 3}) {
+        Rng data_rng(static_cast<uint64_t>(7 + b));
+        Tensor batch = Tensor::RandNormal({b, 320, 2}, &data_rng);
+        Tensor carry = frozen.Embed(batch);  // a plausible [B, dim] context
+        for (const Tensor* context : {static_cast<const Tensor*>(nullptr),
+                                      static_cast<const Tensor*>(&carry)}) {
+          const std::vector<Tensor> want =
+              AllTaskForwards(frozen, batch, context, &reference);
+          for (size_t w = 0; w < contexts.size(); ++w) {
+            const std::vector<Tensor> got =
+                AllTaskForwards(frozen, batch, context, contexts[w].get());
+            for (size_t i = 0; i < want.size(); ++i) {
+              EXPECT_TRUE(BitEqual(want[i], got[i]))
+                  << "output " << i << " kind=" << static_cast<int>(kind)
+                  << " backend=" << kernels::BackendName(backend) << " B=" << b
+                  << " context=" << (context != nullptr)
+                  << " width=" << kWidths[w];
+            }
+          }
+        }
+      }
+    }
+  }
+  kernels::SetBackendForTesting(restore);
+}
+
 // Engine-level context routing: want_context returns the [CLS] embedding,
 // context-bearing requests compute (never cached) and match the direct
 // FrozenModel path bit-for-bit.
@@ -556,6 +624,38 @@ TEST(InferenceEngineTest, ShutdownDrainsQueueAndRejectsAfter) {
   InferenceRequest late;
   late.series = MakeSeries(60, 2, 999);
   EXPECT_FALSE(engine->Run(std::move(late)).status.ok());
+}
+
+// A forward that throws fails its micro-batch cleanly: every rider resolves
+// Internal, nothing is cached, the worker slot frees and the engine serves on.
+TEST(InferenceEngineTest, ThrowingForwardResolvesInternalAndEngineSurvives) {
+  model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
+  Rng rng(31);
+  model::RitaModel source(config, &rng);
+  FrozenModel frozen(source);
+
+  std::atomic<bool> armed{true};
+  InferenceEngineOptions options;
+  options.forward_fault_for_testing = [&armed] {
+    if (armed.exchange(false)) throw std::runtime_error("injected fault");
+  };
+  InferenceEngine engine(&frozen, options);
+
+  InferenceRequest request;
+  request.series = MakeSeries(60, 2, 17);
+  InferenceResponse failed = engine.Run(request);
+  EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
+  EXPECT_NE(failed.status.ToString().find("injected fault"), std::string::npos);
+
+  // The SAME request now computes (no stale cache hit) and succeeds.
+  InferenceResponse retried = engine.Run(request);
+  ASSERT_TRUE(retried.status.ok()) << retried.status.ToString();
+  EXPECT_FALSE(retried.cache_hit);
+
+  const InferenceEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.forward_failures, 1u);
+  EXPECT_EQ(stats.in_flight_batches, 0);
+  EXPECT_EQ(stats.completed, 1u);
 }
 
 // Per-task cache admission: a flood of large kReconstruct payloads may only
@@ -680,10 +780,9 @@ TEST(QuantizedServingTest, VariantsShrinkWeightsAndPassAccuracyGate) {
 }
 
 // Per-row dynamic activation quantization keeps the batch-position invariance
-// micro-batching relies on, and the graph lowering routes through the same
-// quantized Linear forwards — so both must be bitwise equal to the
-// variant's own sequential single-row forwards.
-TEST(QuantizedServingTest, QuantizedForwardsAreBatchInvariantAndGraphIdentical) {
+// micro-batching relies on, and the quantized Linear forwards are pool-width
+// invariant — so batched, solo and wide-pool forwards agree bitwise.
+TEST(QuantizedServingTest, QuantizedForwardsAreBatchAndPoolWidthInvariant) {
   model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
   Rng rng(63);
   model::RitaModel source(config, &rng);
@@ -703,11 +802,10 @@ TEST(QuantizedServingTest, QuantizedForwardsAreBatchInvariantAndGraphIdentical) 
         << "row " << i << " depends on its micro-batch";
   }
 
-  ThreadPool pool(4);
+  ThreadPool pool(16);  // 16 > B*H = 8: the narrow group-attention path
   ExecutionContext exec(&pool);
-  Tensor via_graph = int8.ForwardGraph(graph::ForwardTask::kClassLogits, batch,
-                                       nullptr, nullptr, &exec);
-  EXPECT_TRUE(BitEqual(batched, via_graph));
+  Tensor wide = int8.ClassLogitsWithContext(batch, nullptr, nullptr, &exec);
+  EXPECT_TRUE(BitEqual(batched, wide));
 }
 
 TEST(QuantizedServingTest, RegistryServesVariantsSideBySide) {
