@@ -310,18 +310,19 @@ Variable Relu(const Variable& a) {
 }
 
 Variable Gelu(const Variable& a) {
+  // Value from the kernel table (the scalar backend is this closed form
+  // verbatim). Grad-free callers — every serving forward — skip the
+  // derivative tensor entirely.
+  Tensor y = ops::Gelu(a.data());
+  if (!GradModeEnabled()) return Variable(std::move(y));
   constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
   const Tensor& x = a.data();
-  Tensor y(x.shape());
   Tensor dydx(x.shape());
   const float* px = x.data();
-  float* py = y.data();
   float* pd = dydx.data();
   for (int64_t i = 0; i < x.numel(); ++i) {
     const float v = px[i];
-    const float u = kC * (v + 0.044715f * v * v * v);
-    const float t = std::tanh(u);
-    py[i] = 0.5f * v * (1.0f + t);
+    const float t = std::tanh(kC * (v + 0.044715f * v * v * v));
     const float du = kC * (1.0f + 3.0f * 0.044715f * v * v);
     pd[i] = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
   }

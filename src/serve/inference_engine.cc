@@ -283,6 +283,9 @@ std::future<InferenceResponse> InferenceEngine::Submit(InferenceRequest request)
     }
     agg_.cache_misses->Add(1);
     per_model_[static_cast<size_t>(model_id)].cache_misses->Add(1);
+    // Second-sighting admission: a first-time key computes but is not
+    // inserted, so one-off requests never occupy the cache.
+    if (!cache_->Admit(key)) key = ResultCache::Key{};
   }
 
   // Shed hopeless deadlines at admission (after the cache, which answers in

@@ -190,7 +190,9 @@ class InferenceEngine {
 
   /// Thread-safe. Invalid requests resolve immediately with a non-OK status;
   /// cache hits resolve immediately with the cached output; admitted
-  /// requests resolve when their micro-batch completes.
+  /// requests resolve when their micro-batch completes. A miss enters the
+  /// cache only on its key's second sighting (ResultCache::Admit), so the
+  /// third identical submit is the first that can hit.
   std::future<InferenceResponse> Submit(InferenceRequest request);
 
   /// Convenience: Submit and block for the response.

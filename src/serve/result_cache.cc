@@ -1,7 +1,10 @@
 #include "serve/result_cache.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
+
+#include "util/hash.h"
 
 namespace rita {
 namespace serve {
@@ -46,10 +49,10 @@ ResultCache::ResultCache(const Options& options) {
 
 ResultCache::Key ResultCache::MakeKey(uint64_t model_fingerprint, ServeTask task,
                                       const Tensor& series) {
-  const size_t bytes = sizeof(float) * static_cast<size_t>(series.numel());
-  Key key;
-  for (int which = 0; which < 2; ++which) {
-    uint64_t h = which == 0 ? kFnv1a64OffsetBasis : kFnv1a64AltOffsetBasis;
+  // FNV seeds the two halves with the short header; the series bytes, the
+  // bulk of the key, then go through one striped pass.
+  uint64_t seeds[2] = {kFnv1a64OffsetBasis, kFnv1a64AltOffsetBasis};
+  for (uint64_t& h : seeds) {
     h = Fnv1a64Value(model_fingerprint, h);
     h = Fnv1a64Value(static_cast<int32_t>(task), h);
     // Shape feeds the digest so [6] and [2, 3] payloads cannot alias.
@@ -57,12 +60,31 @@ ResultCache::Key ResultCache::MakeKey(uint64_t model_fingerprint, ServeTask task
     for (int64_t d = 0; d < series.dim(); ++d) {
       h = Fnv1a64Value<int64_t>(series.size(d), h);
     }
-    h = Fnv1a64(series.data(), bytes, h);
-    (which == 0 ? key.lo : key.hi) = h;
   }
+  const Digest128 digest = StripeDigest128(
+      series.data(), sizeof(float) * static_cast<size_t>(series.numel()),
+      seeds[0], seeds[1]);
+  Key key{digest.lo, digest.hi};
   // {0, 0} is the "no key" sentinel; nudge the pathological digest off it.
   if (key.lo == 0 && key.hi == 0) key.lo = 1;
   return key;
+}
+
+bool ResultCache::Admit(const Key& key) {
+  Shard& shard = ShardFor(key);
+  const uint64_t bit = key.lo & (kDoorkeeperBits - 1);
+  const uint64_t mask = uint64_t{1} << (bit % 64);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  uint64_t& word = shard.doorkeeper[bit / 64];
+  if ((word & mask) != 0) return true;
+  word |= mask;
+  // Clear when half full: a set bit then means "seen since the last reset",
+  // which keeps one-hit keys from saturating the filter into admit-all.
+  if (++shard.doorkeeper_set >= kDoorkeeperBits / 2) {
+    std::fill(std::begin(shard.doorkeeper), std::end(shard.doorkeeper), 0);
+    shard.doorkeeper_set = 0;
+  }
+  return false;
 }
 
 bool ResultCache::Lookup(const Key& key, Tensor* output) {

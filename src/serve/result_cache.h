@@ -2,10 +2,16 @@
 // FrozenModel forwards are deterministic (pinned RNG stream) and
 // batch-position-invariant: the output for (model, task, series) is a pure
 // function of its key, so replaying a cached tensor is bit-identical to
-// recomputing it. Keys are two independent 64-bit FNV-1a digests of
-// (model fingerprint, task, series shape, series bytes) — 128 effective bits,
-// so distinct requests colliding is not a practical concern and the cache
-// need not retain request bytes for verification.
+// recomputing it. A key is a 128-bit digest of (model fingerprint, task,
+// series shape, series bytes): FNV-1a seeds two halves with the header, then
+// one striped pass over the series bytes finishes both (StripeDigest128 in
+// util/hash.h). Distinct requests colliding is not a practical concern, so
+// the cache need not retain request bytes for verification.
+//
+// Admission is on second sighting: the engine inserts a miss's output only
+// when Admit() has seen the key before. Each shard keeps a 65,536-bit
+// doorkeeper (one bit per key.lo, cleared when half full), so a stream of
+// one-time requests costs a bit each instead of a resident entry.
 //
 // Sharded LRU under a byte budget: the key's high digest picks a shard (the
 // low digest indexes within it, keeping the two uses decorrelated), each
@@ -75,9 +81,16 @@ class ResultCache {
 
   explicit ResultCache(const Options& options);
 
-  /// Digests (model fingerprint, task, shape, series bytes) into a key.
+  /// Digests (model fingerprint, task, shape, series bytes) into a key. The
+  /// series bytes are read once.
   static Key MakeKey(uint64_t model_fingerprint, ServeTask task,
                      const Tensor& series);
+
+  /// Doorkeeper for second-sighting admission: records `key` and returns
+  /// true if it was already recorded since the shard's last reset (false on
+  /// a first sighting). Aliasing keys share a bit, so a false "seen" is
+  /// possible; a false "unseen" only after a reset. Thread-safe.
+  bool Admit(const Key& key);
 
   /// On hit, copies the cached output into `*output` (a private clone — the
   /// caller may mutate it freely) and refreshes recency. Thread-safe.
@@ -92,6 +105,7 @@ class ResultCache {
 
  private:
   static constexpr int kNumTasks = 3;  // ServeTask cardinality
+  static constexpr uint64_t kDoorkeeperBits = 65536;  // per shard
 
   struct Entry {
     uint64_t lo = 0;  // map key, repeated here so eviction can unindex
@@ -105,6 +119,8 @@ class ResultCache {
     std::list<Entry> lru[kNumTasks];  // front = most recent, one per task
     std::unordered_map<uint64_t, std::list<Entry>::iterator> index;  // by lo
     int64_t bytes[kNumTasks] = {0, 0, 0};
+    uint64_t doorkeeper[kDoorkeeperBits / 64] = {};  // bit per key.lo
+    uint64_t doorkeeper_set = 0;                      // bits set since reset
     ResultCacheStats stats;
   };
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "linalg/kernels/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace rita {
@@ -262,6 +264,54 @@ TEST(ReshapeGradTest, GradKeepsOriginalShape) {
   Variable y = SumAll(Reshape(x, {6}));
   y.Backward();
   EXPECT_EQ(x.grad().shape(), (Shape{2, 3}));
+}
+
+// Grad-free Gelu is the dispatched kernel's output with no graph node, on
+// every backend; on the scalar backend it is also the historical closed form
+// bit for bit, so serving outputs there are unchanged.
+TEST(GeluTest, NoGradValueIsTheKernelValue) {
+  namespace kn = kernels;
+  const kn::Backend original = kn::ActiveBackend();
+  std::vector<kn::Backend> backends = {kn::Backend::kScalar};
+  if (kn::SimdAvailable()) backends.push_back(kn::Backend::kSimd);
+  // 4099 values over [-8, 8]: crosses both tanh saturations and leaves a
+  // non-multiple-of-8 tail for the SIMD loop.
+  const int64_t n = 4099;
+  Tensor x({n});
+  for (int64_t i = 0; i < n; ++i) {
+    x.data()[i] = -8.0f + 16.0f * static_cast<float>(i) / static_cast<float>(n - 1);
+  }
+  for (const kn::Backend backend : backends) {
+    kn::SetBackendForTesting(backend);
+    Variable input(x, /*requires_grad=*/true);
+    Variable y;
+    {
+      NoGradGuard guard;
+      y = Gelu(input);
+    }
+    EXPECT_EQ(y.grad_fn(), nullptr);
+    EXPECT_FALSE(y.requires_grad());
+    const Tensor want = ops::Gelu(x);
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(y.data().data()[i], want.data()[i])
+          << kn::BackendName(backend) << " i=" << i;
+    }
+    if (backend == kn::Backend::kScalar) {
+      constexpr float kC = 0.7978845608f;
+      for (int64_t i = 0; i < n; ++i) {
+        const float v = x.data()[i];
+        const float ref = 0.5f * v * (1.0f + std::tanh(kC * (v + 0.044715f * v * v * v)));
+        ASSERT_EQ(y.data().data()[i], ref) << "i=" << i;
+      }
+    }
+    // Grad mode keeps the graph node and the same value.
+    Variable tracked = Gelu(input);
+    EXPECT_NE(tracked.grad_fn(), nullptr);
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(tracked.data().data()[i], want.data()[i]);
+    }
+  }
+  kn::SetBackendForTesting(original);
 }
 
 }  // namespace

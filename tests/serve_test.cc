@@ -722,6 +722,125 @@ TEST(ResultCacheTest, OversizedPayloadSkipsInsertion) {
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
+// Every payload byte reaches both key halves: the striped body, the last
+// byte, and a tail that is not a whole 32-byte stripe. The header fields
+// (fingerprint, task, shape) separate keys over identical bytes.
+TEST(ResultCacheTest, KeyCoversEveryByteShapeTaskAndFingerprint) {
+  Rng rng(3);
+  // 13 floats = 52 bytes: one 32-byte stripe plus a 20-byte tail.
+  const Tensor base = Tensor::RandNormal({13}, &rng);
+  const ResultCache::Key key =
+      ResultCache::MakeKey(/*model_fingerprint=*/5, ServeTask::kEmbed, base);
+  const ResultCache::Key again =
+      ResultCache::MakeKey(/*model_fingerprint=*/5, ServeTask::kEmbed, base.Clone());
+  EXPECT_EQ(key.lo, again.lo);
+  EXPECT_EQ(key.hi, again.hi);
+
+  const size_t bytes = sizeof(float) * static_cast<size_t>(base.numel());
+  for (const size_t byte : {size_t{0}, size_t{31}, size_t{32}, size_t{40},
+                            size_t{48}, bytes - 1}) {
+    for (const int bit : {0, 7}) {
+      Tensor flipped = base.Clone();
+      reinterpret_cast<unsigned char*>(flipped.data())[byte] ^=
+          static_cast<unsigned char>(1u << bit);
+      const ResultCache::Key k =
+          ResultCache::MakeKey(/*model_fingerprint=*/5, ServeTask::kEmbed, flipped);
+      EXPECT_NE(k.lo, key.lo) << "byte " << byte << " bit " << bit;
+      EXPECT_NE(k.hi, key.hi) << "byte " << byte << " bit " << bit;
+    }
+  }
+
+  // Payloads shorter than one stripe take the tail path only.
+  const Tensor shorter = Tensor::RandNormal({3}, &rng);
+  Tensor shorter_flipped = shorter.Clone();
+  reinterpret_cast<unsigned char*>(shorter_flipped.data())[11] ^= 0x80;
+  const ResultCache::Key s0 = ResultCache::MakeKey(5, ServeTask::kEmbed, shorter);
+  const ResultCache::Key s1 =
+      ResultCache::MakeKey(5, ServeTask::kEmbed, shorter_flipped);
+  EXPECT_NE(s0.lo, s1.lo);
+  EXPECT_NE(s0.hi, s1.hi);
+
+  auto differs = [](const ResultCache::Key& a, const ResultCache::Key& b) {
+    return a.lo != b.lo && a.hi != b.hi;
+  };
+  const Tensor flat = Tensor::RandNormal({6}, &rng);
+  const Tensor grid = flat.Reshape({2, 3});
+  EXPECT_TRUE(differs(ResultCache::MakeKey(5, ServeTask::kEmbed, flat),
+                      ResultCache::MakeKey(5, ServeTask::kEmbed, grid)));
+  EXPECT_TRUE(differs(ResultCache::MakeKey(5, ServeTask::kEmbed, base),
+                      ResultCache::MakeKey(5, ServeTask::kClassify, base)));
+  EXPECT_TRUE(differs(ResultCache::MakeKey(5, ServeTask::kEmbed, base),
+                      ResultCache::MakeKey(6, ServeTask::kEmbed, base)));
+
+  // {0, 0} means "no key" and is never produced, empty payload included.
+  for (uint64_t fingerprint = 0; fingerprint < 256; ++fingerprint) {
+    const ResultCache::Key k =
+        ResultCache::MakeKey(fingerprint, ServeTask::kClassify, Tensor(Shape{0}));
+    EXPECT_FALSE(k.lo == 0 && k.hi == 0);
+  }
+}
+
+// The doorkeeper says "seen" from a key's second sighting on.
+TEST(ResultCacheTest, AdmitOnSecondSighting) {
+  ResultCache cache(ResultCache::Options{});
+  Rng rng(4);
+  const ResultCache::Key a =
+      ResultCache::MakeKey(1, ServeTask::kClassify, Tensor::RandNormal({8, 2}, &rng));
+  const ResultCache::Key b =
+      ResultCache::MakeKey(1, ServeTask::kClassify, Tensor::RandNormal({8, 2}, &rng));
+  EXPECT_FALSE(cache.Admit(a));
+  EXPECT_TRUE(cache.Admit(a));
+  EXPECT_TRUE(cache.Admit(a));
+  if ((a.lo & 0xffff) != (b.lo & 0xffff)) {
+    EXPECT_FALSE(cache.Admit(b));
+  }
+  EXPECT_EQ(cache.stats().insertions, 0u) << "Admit must not insert";
+}
+
+uint64_t CacheInsertions(const InferenceEngine& engine) {
+  engine.CollectMetrics();  // refreshes the cache gauges
+  return static_cast<uint64_t>(
+      engine.metrics()
+          .GetGauge("rita_cache_insertions", "Result-cache insertions")
+          ->Value());
+}
+
+// Second-sighting admission through the engine: the first miss computes but
+// is not cached, the second miss is cached, the third submit hits and
+// replays the computed output bit for bit.
+TEST(InferenceEngineTest, CachesOnSecondSightingAndHitsOnThird) {
+  model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
+  Rng rng(43);
+  model::RitaModel source(config, &rng);
+  FrozenModel frozen(source);
+  InferenceEngineOptions options;  // cache on (default budget)
+  InferenceEngine engine(&frozen, options);
+  const Tensor series = MakeSeries(60, 2, 55);
+
+  InferenceRequest request;
+  request.series = series;
+  InferenceResponse first = engine.Run(request);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_EQ(CacheInsertions(engine), 0u) << "first sighting was cached";
+
+  InferenceResponse second = engine.Run(request);
+  ASSERT_TRUE(second.status.ok());
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_EQ(CacheInsertions(engine), 1u) << "second sighting was not cached";
+
+  InferenceResponse third = engine.Run(request);
+  ASSERT_TRUE(third.status.ok());
+  EXPECT_TRUE(third.cache_hit);
+  EXPECT_TRUE(BitEqual(third.output, first.output));
+  EXPECT_TRUE(BitEqual(second.output, first.output));
+
+  const InferenceEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.completed, 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Quantized & mixed-precision frozen variants
 // ---------------------------------------------------------------------------
