@@ -470,11 +470,11 @@ void RunObsOverhead(const Workload& workload, const BenchScale& scale,
     // the load and report ordered, positive percentiles.
     const obs::HistogramSnapshot compute =
         engine.metrics()
-            .GetHistogram("rita_compute_latency_ms", "", {})
+            .GetHistogram("rita_compute_latency_ms", "", {{"model", "0"}})
             ->Snapshot();
     const obs::HistogramSnapshot queue =
         engine.metrics()
-            .GetHistogram("rita_queue_latency_ms", "", {})
+            .GetHistogram("rita_queue_latency_ms", "", {{"model", "0"}})
             ->Snapshot();
     RITA_CHECK_GT(compute.Count(), 0u);
     RITA_CHECK_GT(compute.Quantile(0.99), 0.0);

@@ -115,11 +115,6 @@ bool ReplicaServer::HandleOneFrame(Connection& conn) {
       EncodeResponse(response, &writer);
       return conn.WriteFrame(MessageType::kResponse, writer.buffer()).ok();
     }
-    case MessageType::kStatsPull: {
-      WireWriter writer;
-      EncodeEngineStats(engine_->stats(), &writer);
-      return conn.WriteFrame(MessageType::kStatsReply, writer.buffer()).ok();
-    }
     case MessageType::kMetricsPull: {
       WireWriter writer;
       EncodeMetricFamilies(engine_->CollectMetrics(), &writer);

@@ -17,9 +17,9 @@
 //   kRequest     -> kResponse    engine Submit + wait (admission errors,
 //                                backpressure and all, ride back as the
 //                                response's typed Status)
-//   kStatsPull   -> kStatsReply  engine stats() snapshot
 //   kMetricsPull -> kMetricsReply engine CollectMetrics() (mergeable
-//                                histogram snapshots — fleet aggregation)
+//                                histogram snapshots — fleet stats and the
+//                                fleet Prometheus exposition)
 //   kModelsPull  -> kModelsReply registry Snapshot() (model-set diffing)
 //   kPing        -> kPong        liveness probe
 //   kShutdown    -> kPong        fires options.on_remote_shutdown (replica

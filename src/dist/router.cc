@@ -1,6 +1,7 @@
 #include "dist/router.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -333,19 +334,22 @@ Status Router::ControlExchange(int replica_index, MessageType pull,
 }
 
 serve::InferenceEngineStats Router::FleetStats() {
-  serve::InferenceEngineStats merged;
+  // Every live replica's families side by side: the engine's stats reader
+  // sums counters and histogram sums across them and maxes the maxima.
+  std::vector<obs::MetricsRegistry::FamilySnapshot> families;
   for (size_t r = 0; r < replicas_.size(); ++r) {
     if (!replicas_[r]->live.load(std::memory_order_acquire)) continue;
     std::vector<uint8_t> payload;
-    Status st = ControlExchange(static_cast<int>(r), MessageType::kStatsPull,
-                                MessageType::kStatsReply, &payload);
+    Status st = ControlExchange(static_cast<int>(r), MessageType::kMetricsPull,
+                                MessageType::kMetricsReply, &payload);
     if (!st.ok()) continue;  // a dying replica drops out of the merge
-    serve::InferenceEngineStats stats;
+    std::vector<obs::MetricsRegistry::FamilySnapshot> replica_families;
     WireReader reader(payload);
-    if (!DecodeEngineStats(&reader, &stats).ok()) continue;
-    AccumulateEngineStats(stats, &merged);
+    if (!DecodeMetricFamilies(&reader, &replica_families).ok()) continue;
+    std::move(replica_families.begin(), replica_families.end(),
+              std::back_inserter(families));
   }
-  return merged;
+  return serve::ReadEngineStats(families);
 }
 
 std::string Router::FleetPrometheusText() {

@@ -91,7 +91,9 @@ class Router {
   /// the configured timeouts).
   std::future<serve::InferenceResponse> Submit(serve::InferenceRequest request);
 
-  /// Merged stats() across live replicas (counters/sums add, maxima max).
+  /// Merged stats across live replicas, read from their metric families
+  /// (counters/sums add, maxima max, queue depths add). Cumulative since
+  /// each replica started: a replica's ResetStatsWindow() does not apply.
   serve::InferenceEngineStats FleetStats();
 
   /// One Prometheus exposition for the whole fleet: every replica's gauge-

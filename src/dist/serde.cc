@@ -317,74 +317,6 @@ Status DecodeResponse(WireReader* r, serve::InferenceResponse* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine stats
-
-void EncodeEngineStats(const serve::InferenceEngineStats& s, WireWriter* w) {
-  w->U64(s.completed);
-  w->U64(s.rejected_invalid);
-  w->U64(s.rejected_backpressure);
-  w->U64(s.rejected_hopeless);
-  w->U64(s.batches);
-  w->U64(s.cache_hits);
-  w->U64(s.cache_misses);
-  w->U64(s.deadline_missed);
-  w->U64(s.forward_failures);
-  w->I64(s.max_micro_batch);
-  w->I64(s.queue_depth);
-  w->I64(s.queue_depth_interactive);
-  w->I64(s.queue_depth_batch);
-  w->I64(s.in_flight_batches);
-  w->F64(s.total_queue_ms);
-  w->F64(s.total_compute_ms);
-  w->F64(s.max_compute_ms);
-}
-
-Status DecodeEngineStats(WireReader* r, serve::InferenceEngineStats* out) {
-  serve::InferenceEngineStats s;
-  s.completed = r->U64();
-  s.rejected_invalid = r->U64();
-  s.rejected_backpressure = r->U64();
-  s.rejected_hopeless = r->U64();
-  s.batches = r->U64();
-  s.cache_hits = r->U64();
-  s.cache_misses = r->U64();
-  s.deadline_missed = r->U64();
-  s.forward_failures = r->U64();
-  s.max_micro_batch = r->I64();
-  s.queue_depth = r->I64();
-  s.queue_depth_interactive = r->I64();
-  s.queue_depth_batch = r->I64();
-  s.in_flight_batches = r->I64();
-  s.total_queue_ms = r->F64();
-  s.total_compute_ms = r->F64();
-  s.max_compute_ms = r->F64();
-  RITA_RETURN_NOT_OK(r->Finish());
-  *out = s;
-  return Status::OK();
-}
-
-void AccumulateEngineStats(const serve::InferenceEngineStats& from,
-                           serve::InferenceEngineStats* into) {
-  into->completed += from.completed;
-  into->rejected_invalid += from.rejected_invalid;
-  into->rejected_backpressure += from.rejected_backpressure;
-  into->rejected_hopeless += from.rejected_hopeless;
-  into->batches += from.batches;
-  into->cache_hits += from.cache_hits;
-  into->cache_misses += from.cache_misses;
-  into->deadline_missed += from.deadline_missed;
-  into->forward_failures += from.forward_failures;
-  into->max_micro_batch = std::max(into->max_micro_batch, from.max_micro_batch);
-  into->queue_depth += from.queue_depth;
-  into->queue_depth_interactive += from.queue_depth_interactive;
-  into->queue_depth_batch += from.queue_depth_batch;
-  into->in_flight_batches += from.in_flight_batches;
-  into->total_queue_ms += from.total_queue_ms;
-  into->total_compute_ms += from.total_compute_ms;
-  into->max_compute_ms = std::max(into->max_compute_ms, from.max_compute_ms);
-}
-
-// ---------------------------------------------------------------------------
 // Metric families
 
 void EncodeMetricFamilies(

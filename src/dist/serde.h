@@ -1,7 +1,7 @@
 // Wire serialization for the distributed serving layer — the single source
-// of truth for how a Status, InferenceRequest, InferenceResponse, engine
-// stats snapshot, metric-family snapshot, or model-set snapshot is packed
-// into bytes. Every call site (replica server, router, tests, bench) goes
+// of truth for how a Status, InferenceRequest, InferenceResponse,
+// metric-family snapshot, or model-set snapshot is packed into bytes. Every
+// call site (replica server, router, tests, bench) goes
 // through these Encode*/Decode* pairs; nothing else in the repo touches the
 // byte layout, so the round-trip property test in tests/dist_test.cc pins
 // the format in one place.
@@ -115,18 +115,7 @@ void EncodeResponse(const serve::InferenceResponse& response, WireWriter* w);
 Status DecodeResponse(WireReader* r, serve::InferenceResponse* out);
 
 // ---------------------------------------------------------------------------
-// Engine stats (fleet Stats() aggregation).
-
-void EncodeEngineStats(const serve::InferenceEngineStats& stats, WireWriter* w);
-Status DecodeEngineStats(WireReader* r, serve::InferenceEngineStats* out);
-
-/// Field-wise accumulate for fleet aggregation: counters/sums add, maxima
-/// max, instantaneous depths add.
-void AccumulateEngineStats(const serve::InferenceEngineStats& from,
-                           serve::InferenceEngineStats* into);
-
-// ---------------------------------------------------------------------------
-// Metric family snapshots (fleet Prometheus merge).
+// Metric family snapshots (fleet stats and fleet Prometheus merge).
 
 void EncodeMetricFamilies(
     const std::vector<obs::MetricsRegistry::FamilySnapshot>& families,

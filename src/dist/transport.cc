@@ -58,6 +58,14 @@ void SetNoDelay(int fd) {
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+// True iff `wire_type` is a MessageType this build speaks. 3 and 4 were the
+// stats pull/reply pair (wire v2); their values stay retired.
+bool IsKnownMessageType(uint16_t wire_type) {
+  return wire_type >= static_cast<uint16_t>(MessageType::kRequest) &&
+         wire_type <= static_cast<uint16_t>(MessageType::kPong) &&
+         wire_type != 3 && wire_type != 4;
+}
+
 }  // namespace
 
 const char* MessageTypeName(MessageType type) {
@@ -66,10 +74,6 @@ const char* MessageTypeName(MessageType type) {
       return "Request";
     case MessageType::kResponse:
       return "Response";
-    case MessageType::kStatsPull:
-      return "StatsPull";
-    case MessageType::kStatsReply:
-      return "StatsReply";
     case MessageType::kMetricsPull:
       return "MetricsPull";
     case MessageType::kMetricsReply:
@@ -286,8 +290,7 @@ Status Connection::ReadFrame(MessageType* type, std::vector<uint8_t>* payload,
                                 " (this build speaks " +
                                 std::to_string(kWireVersion) + ")");
   }
-  if (wire_type < static_cast<uint16_t>(MessageType::kRequest) ||
-      wire_type > static_cast<uint16_t>(MessageType::kPong)) {
+  if (!IsKnownMessageType(wire_type)) {
     return Status::InvalidArgument("unknown message type " +
                                    std::to_string(wire_type));
   }

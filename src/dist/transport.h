@@ -40,7 +40,9 @@ inline constexpr uint32_t kFrameMagic = 0x44544952;  // "RITD" little-endian
 /// Bumped whenever any payload layout changes, so a mixed-version fleet gets
 /// a typed kNotSupported instead of a misparsed or trailing-byte payload.
 /// v2: the engine-stats payload dropped the two task-graph counters.
-inline constexpr uint16_t kWireVersion = 2;
+/// v3: the stats messages (types 3 and 4) are gone; fleet stats are read
+/// from the kMetricsReply families.
+inline constexpr uint16_t kWireVersion = 3;
 /// Hard cap on one frame's payload: a garbage length prefix beyond this is
 /// rejected before any allocation. Generous for [T, C] series tensors.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
@@ -49,8 +51,7 @@ inline constexpr size_t kFrameHeaderBytes = 12;
 enum class MessageType : uint16_t {
   kRequest = 1,       // serde::EncodeRequest payload
   kResponse = 2,      // serde::EncodeResponse payload
-  kStatsPull = 3,     // empty payload
-  kStatsReply = 4,    // serde::EncodeEngineStats payload
+  // 3 and 4 (the removed stats pull/reply) are unknown types.
   kMetricsPull = 5,   // empty payload
   kMetricsReply = 6,  // serde::EncodeMetricFamilies payload
   kModelsPull = 7,    // empty payload

@@ -261,5 +261,35 @@ std::vector<MetricsRegistry::FamilySnapshot> MetricsRegistry::Collect() const {
   return out;
 }
 
+std::vector<MetricsRegistry::FamilySnapshot> SubtractBase(
+    std::vector<MetricsRegistry::FamilySnapshot> current,
+    const std::vector<MetricsRegistry::FamilySnapshot>& base) {
+  for (MetricsRegistry::FamilySnapshot& family : current) {
+    if (family.type != MetricType::kCounter &&
+        family.type != MetricType::kHistogram) {
+      continue;
+    }
+    const auto base_family =
+        std::find_if(base.begin(), base.end(),
+                     [&family](const MetricsRegistry::FamilySnapshot& f) {
+                       return f.name == family.name;
+                     });
+    if (base_family == base.end()) continue;
+    for (MetricsRegistry::InstanceSnapshot& inst : family.instances) {
+      for (const MetricsRegistry::InstanceSnapshot& from :
+           base_family->instances) {
+        if (from.labels != inst.labels) continue;
+        if (family.type == MetricType::kHistogram) {
+          inst.hist.SubtractBase(from.hist);
+        } else {
+          inst.value = std::max(0.0, inst.value - from.value);
+        }
+        break;
+      }
+    }
+  }
+  return current;
+}
+
 }  // namespace obs
 }  // namespace rita

@@ -2,7 +2,9 @@
 //
 // One implementation backs every latency/throughput statistic in the repo:
 // the serving engine's EngineStats, the streaming layer's p50/p99, and the
-// Prometheus exporter all read the same primitives. Three design rules:
+// Prometheus exporter all read the same primitives. The engine's stats are
+// not kept anywhere else: stats(), model_stats() and a router's FleetStats()
+// are all read from Collect() snapshots of the registry. Three design rules:
 //
 //   1. Hot-path writes are lock-free. Counters shard across cache-line-padded
 //      atomic cells indexed by a per-thread slot, so concurrent workers never
@@ -14,7 +16,8 @@
 //      mutex-per-batch stats gave across batches.
 //   3. Snapshots are mergeable and subtractable. Fleet aggregation merges
 //      histograms from N processes; windowed rates subtract a baseline
-//      snapshot from the current one (InferenceEngine::ResetStatsWindow).
+//      Collect() from the current one (SubtractBase below, behind
+//      InferenceEngine::ResetStatsWindow).
 //
 // Histogram buckets are log-linear: 16 linear sub-buckets per power-of-two
 // octave, covering [2^-10, 2^21) plus a zero bucket and an overflow bucket.
@@ -279,6 +282,14 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;
 };
+
+/// Windowed view of `current` since `base` (an earlier Collect() of the same
+/// registry). Instances match by (family name, labels). Counters and
+/// histograms (buckets, count, sum) subtract, saturating at 0; gauges and
+/// max-gauges pass through unchanged, as does any instance `base` lacks.
+std::vector<MetricsRegistry::FamilySnapshot> SubtractBase(
+    std::vector<MetricsRegistry::FamilySnapshot> current,
+    const std::vector<MetricsRegistry::FamilySnapshot>& base);
 
 }  // namespace obs
 }  // namespace rita

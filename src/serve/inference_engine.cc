@@ -35,6 +35,33 @@ RequestQueue::Options QueueOptions(const InferenceEngineOptions& options) {
   return queue;
 }
 
+// Engine metric families that RegisterScope (or the export-gauge refresh)
+// writes and ReadEngineStats reads back.
+constexpr char kCompletedFamily[] = "rita_requests_completed_total";
+constexpr char kRejectedFamily[] = "rita_requests_rejected_total";
+constexpr char kRejectedHelp[] = "Requests refused at admission, by reason";
+constexpr char kBatchesFamily[] = "rita_batches_total";
+constexpr char kCacheHitsFamily[] = "rita_cache_hits_total";
+constexpr char kCacheMissesFamily[] = "rita_cache_misses_total";
+constexpr char kDeadlineMissedFamily[] = "rita_deadline_missed_total";
+constexpr char kForwardFailuresFamily[] = "rita_forward_failures_total";
+constexpr char kQueueLatencyFamily[] = "rita_queue_latency_ms";
+constexpr char kComputeLatencyFamily[] = "rita_compute_latency_ms";
+constexpr char kMicroBatchMaxFamily[] = "rita_micro_batch_max";
+constexpr char kComputeMaxFamily[] = "rita_compute_latency_max_ms";
+constexpr char kQueueDepthFamily[] = "rita_queue_depth";
+constexpr char kInFlightFamily[] = "rita_in_flight_batches";
+
+// Value of `key` in `labels`, or "" when the instance has no such label.
+const std::string& LabelValue(const obs::LabelSet& labels,
+                              const std::string& key) {
+  static const std::string kNone;
+  for (const auto& [k, v] : labels) {
+    if (k == key) return v;
+  }
+  return kNone;
+}
+
 }  // namespace
 
 InferenceEngine::InferenceEngine(const ModelRegistry* registry,
@@ -83,20 +110,20 @@ void InferenceEngine::Start() {
     cache_ = std::make_unique<ResultCache>(cache_options);
   }
   // Metrics: an engine-owned registry unless the caller supplied one. Every
-  // EngineStats field is backed here; the aggregate scope has no labels, each
-  // model's scope carries {model="<id>"}.
+  // EngineStats field is backed here, per model ({model="<id>"}); the engine
+  // totals are read by summing the instances, never written separately.
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
     own_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = own_metrics_.get();
   }
-  agg_ = RegisterScope({});
   per_model_.reserve(static_cast<size_t>(registry_->size()));
   for (int64_t id = 0; id < registry_->size(); ++id) {
     per_model_.push_back(RegisterScope({{"model", std::to_string(id)}}));
   }
-  model_window_base_.resize(static_cast<size_t>(registry_->size()));
+  rejected_unknown_model_ = metrics_->GetCounter(
+      kRejectedFamily, kRejectedHelp, {{"reason", "invalid"}});
   workers_.reserve(options_.num_workers);
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -115,44 +142,37 @@ InferenceEngine::ScopeMetrics InferenceEngine::RegisterScope(
   };
   ScopeMetrics m;
   m.completed = metrics_->GetCounter(
-      "rita_requests_completed_total",
-      "Requests answered OK, including cache hits", labels);
-  m.rejected_invalid = metrics_->GetCounter(
-      "rita_requests_rejected_total",
-      "Requests refused at admission, by reason", with("reason", "invalid"));
-  m.rejected_backpressure =
-      metrics_->GetCounter("rita_requests_rejected_total",
-                           "Requests refused at admission, by reason",
-                           with("reason", "backpressure"));
-  m.rejected_hopeless = metrics_->GetCounter(
-      "rita_requests_rejected_total",
-      "Requests refused at admission, by reason", with("reason", "hopeless"));
-  m.batches = metrics_->GetCounter("rita_batches_total",
-                                   "Micro-batch model forwards executed",
-                                   labels);
+      kCompletedFamily, "Requests answered OK, including cache hits", labels);
+  m.rejected_invalid = metrics_->GetCounter(kRejectedFamily, kRejectedHelp,
+                                            with("reason", "invalid"));
+  m.rejected_backpressure = metrics_->GetCounter(
+      kRejectedFamily, kRejectedHelp, with("reason", "backpressure"));
+  m.rejected_hopeless = metrics_->GetCounter(kRejectedFamily, kRejectedHelp,
+                                             with("reason", "hopeless"));
+  m.batches = metrics_->GetCounter(
+      kBatchesFamily, "Micro-batch model forwards executed", labels);
   m.cache_hits = metrics_->GetCounter(
-      "rita_cache_hits_total", "Requests answered from the result cache",
-      labels);
+      kCacheHitsFamily, "Requests answered from the result cache", labels);
   m.cache_misses = metrics_->GetCounter(
-      "rita_cache_misses_total", "Result-cache lookups that missed", labels);
+      kCacheMissesFamily, "Result-cache lookups that missed", labels);
   m.deadline_missed = metrics_->GetCounter(
-      "rita_deadline_missed_total",
-      "Computed requests resolved past their deadline", labels);
+      kDeadlineMissedFamily, "Computed requests resolved past their deadline",
+      labels);
   m.forward_failures = metrics_->GetCounter(
-      "rita_forward_failures_total",
+      kForwardFailuresFamily,
       "Micro-batches whose forward threw (riders resolved Internal)", labels);
   m.queue_ms = metrics_->GetHistogram(
-      "rita_queue_latency_ms",
+      kQueueLatencyFamily,
       "Per-request wait from Submit() to micro-batch assembly (ms)", labels);
   m.compute_ms = metrics_->GetHistogram(
-      "rita_compute_latency_ms", "Per-micro-batch forward time (ms)", labels);
+      kComputeLatencyFamily, "Per-micro-batch forward time (ms)", labels);
   m.batch_size = metrics_->GetHistogram(
       "rita_micro_batch_size", "Coalesced micro-batch sizes", labels);
   m.max_micro_batch = metrics_->GetMaxGauge(
-      "rita_micro_batch_max",
-      "Largest coalesced micro-batch this stats window", labels);
+      kMicroBatchMaxFamily, "Largest coalesced micro-batch this stats window",
+      labels);
   m.max_compute_ms = metrics_->GetMaxGauge(
-      "rita_compute_latency_max_ms",
+      kComputeMaxFamily,
       "Slowest single micro-batch forward this stats window (ms)", labels);
   return m;
 }
@@ -216,24 +236,26 @@ Status InferenceEngine::Validate(const InferenceRequest& request,
 }
 
 void InferenceEngine::CountRejection(int64_t model_id, RejectKind kind) {
-  const auto pick = [kind](const ScopeMetrics& m) {
-    switch (kind) {
-      case RejectKind::kInvalid:
-        return m.rejected_invalid;
-      case RejectKind::kBackpressure:
-        return m.rejected_backpressure;
-      case RejectKind::kHopeless:
-        return m.rejected_hopeless;
-    }
-    return m.rejected_invalid;
-  };
   // Count BEFORE resolving the promise (same invariant as ExecuteBatch): a
   // client reading stats() after its future resolves must see its own
-  // request counted — the relaxed adds are sequenced before the promise's
+  // request counted — the relaxed add is sequenced before the promise's
   // releasing store, and the client's get() acquires it.
-  pick(agg_)->Add(1);
-  if (model_id >= 0 && model_id < static_cast<int64_t>(per_model_.size())) {
-    pick(per_model_[static_cast<size_t>(model_id)])->Add(1);
+  if (model_id < 0 || model_id >= static_cast<int64_t>(per_model_.size())) {
+    // Only validation rejects a model_id no model owns.
+    rejected_unknown_model_->Add(1);
+    return;
+  }
+  const ScopeMetrics& m = per_model_[static_cast<size_t>(model_id)];
+  switch (kind) {
+    case RejectKind::kInvalid:
+      m.rejected_invalid->Add(1);
+      break;
+    case RejectKind::kBackpressure:
+      m.rejected_backpressure->Add(1);
+      break;
+    case RejectKind::kHopeless:
+      m.rejected_hopeless->Add(1);
+      break;
   }
 }
 
@@ -267,8 +289,6 @@ std::future<InferenceResponse> InferenceEngine::Submit(InferenceRequest request)
     Tensor cached;
     if (cache_->Lookup(key, &cached)) {
       const ScopeMetrics& pm = per_model_[static_cast<size_t>(model_id)];
-      agg_.completed->Add(1);
-      agg_.cache_hits->Add(1);
       pm.completed->Add(1);
       pm.cache_hits->Add(1);
       obs::RecordSpan(trace_id, "cache_hit", "serve", trace_submit_us,
@@ -281,7 +301,6 @@ std::future<InferenceResponse> InferenceEngine::Submit(InferenceRequest request)
       promise.set_value(std::move(response));
       return future;
     }
-    agg_.cache_misses->Add(1);
     per_model_[static_cast<size_t>(model_id)].cache_misses->Add(1);
     // Second-sighting admission: a first-time key computes but is not
     // inserted, so one-off requests never occupy the cache.
@@ -475,7 +494,6 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
     // error, nothing enters the cache, the planner sees no sample, and the
     // worker slot frees as usual when this frame returns — the engine keeps
     // serving subsequent requests.
-    agg_.forward_failures->Add(1);
     per_model_[static_cast<size_t>(model_id)].forward_failures->Add(1);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -546,27 +564,16 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
   // (the relaxed adds are sequenced before the promise's releasing store).
   {
     const ScopeMetrics& pm = per_model_[static_cast<size_t>(model_id)];
-    agg_.completed->Add(static_cast<uint64_t>(b));
     pm.completed->Add(static_cast<uint64_t>(b));
-    agg_.batches->Add(1);
     pm.batches->Add(1);
     for (int64_t i = 0; i < b; ++i) {
-      const double queue_ms = responses[static_cast<size_t>(i)].queue_ms;
-      agg_.queue_ms->Observe(queue_ms);
-      pm.queue_ms->Observe(queue_ms);
+      pm.queue_ms->Observe(responses[static_cast<size_t>(i)].queue_ms);
     }
-    agg_.compute_ms->Observe(compute_ms);
     pm.compute_ms->Observe(compute_ms);
-    agg_.batch_size->Observe(static_cast<double>(b));
     pm.batch_size->Observe(static_cast<double>(b));
-    agg_.max_micro_batch->Observe(static_cast<double>(b));
     pm.max_micro_batch->Observe(static_cast<double>(b));
-    agg_.max_compute_ms->Observe(compute_ms);
     pm.max_compute_ms->Observe(compute_ms);
-    if (missed_deadlines != 0) {
-      agg_.deadline_missed->Add(missed_deadlines);
-      pm.deadline_missed->Add(missed_deadlines);
-    }
+    if (missed_deadlines != 0) pm.deadline_missed->Add(missed_deadlines);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -670,73 +677,93 @@ void InferenceEngine::EmitStatsSnapshot() {
                                         s.rejected_hopeless;
 }
 
-InferenceEngineStats InferenceEngine::ReadScope(const ScopeMetrics& m) const {
+InferenceEngineStats ReadEngineStats(
+    const std::vector<obs::MetricsRegistry::FamilySnapshot>& families,
+    int64_t model_id) {
+  const std::string model = std::to_string(model_id);
   InferenceEngineStats s;
-  s.completed = m.completed->Value();
-  s.rejected_invalid = m.rejected_invalid->Value();
-  s.rejected_backpressure = m.rejected_backpressure->Value();
-  s.rejected_hopeless = m.rejected_hopeless->Value();
-  s.batches = m.batches->Value();
-  s.cache_hits = m.cache_hits->Value();
-  s.cache_misses = m.cache_misses->Value();
-  s.deadline_missed = m.deadline_missed->Value();
-  s.forward_failures = m.forward_failures->Value();
-  s.max_micro_batch = static_cast<int64_t>(m.max_micro_batch->Value());
-  s.total_queue_ms = m.queue_ms->Sum();
-  s.total_compute_ms = m.compute_ms->Sum();
-  s.max_compute_ms = m.max_compute_ms->Value();
+  for (const auto& family : families) {
+    const std::string& name = family.name;
+    for (const auto& inst : family.instances) {
+      if (model_id >= 0 && LabelValue(inst.labels, "model") != model) continue;
+      const auto count = static_cast<uint64_t>(inst.value);
+      if (name == kCompletedFamily) {
+        s.completed += count;
+      } else if (name == kRejectedFamily) {
+        const std::string& reason = LabelValue(inst.labels, "reason");
+        if (reason == "invalid") s.rejected_invalid += count;
+        if (reason == "backpressure") s.rejected_backpressure += count;
+        if (reason == "hopeless") s.rejected_hopeless += count;
+      } else if (name == kBatchesFamily) {
+        s.batches += count;
+      } else if (name == kCacheHitsFamily) {
+        s.cache_hits += count;
+      } else if (name == kCacheMissesFamily) {
+        s.cache_misses += count;
+      } else if (name == kDeadlineMissedFamily) {
+        s.deadline_missed += count;
+      } else if (name == kForwardFailuresFamily) {
+        s.forward_failures += count;
+      } else if (name == kQueueLatencyFamily) {
+        s.total_queue_ms += inst.hist.Sum();
+      } else if (name == kComputeLatencyFamily) {
+        s.total_compute_ms += inst.hist.Sum();
+      } else if (name == kMicroBatchMaxFamily) {
+        s.max_micro_batch =
+            std::max(s.max_micro_batch, static_cast<int64_t>(inst.value));
+      } else if (name == kComputeMaxFamily) {
+        s.max_compute_ms = std::max(s.max_compute_ms, inst.value);
+      } else if (name == kQueueDepthFamily) {
+        const std::string& cls = LabelValue(inst.labels, "class");
+        const auto depth = static_cast<int64_t>(inst.value);
+        if (cls == "all") s.queue_depth += depth;
+        if (cls == "interactive") s.queue_depth_interactive += depth;
+        if (cls == "batch") s.queue_depth_batch += depth;
+      } else if (name == kInFlightFamily) {
+        s.in_flight_batches += static_cast<int64_t>(inst.value);
+      }
+    }
+  }
   return s;
 }
 
-namespace {
-
-// Windowed view: cumulative reading minus the base captured at the last
-// ResetStatsWindow(). Counters and sums subtract (saturating — relaxed
-// per-shard reads can transiently order across the two snapshots); the
-// high-water marks were physically reset instead and pass through.
-void SubtractWindowBase(InferenceEngineStats* s,
-                        const InferenceEngineStats& base) {
-  const auto sub_u = [](uint64_t a, uint64_t b) { return a - std::min(a, b); };
-  const auto sub_d = [](double a, double b) { return std::max(0.0, a - b); };
-  s->completed = sub_u(s->completed, base.completed);
-  s->rejected_invalid = sub_u(s->rejected_invalid, base.rejected_invalid);
-  s->rejected_backpressure =
-      sub_u(s->rejected_backpressure, base.rejected_backpressure);
-  s->rejected_hopeless = sub_u(s->rejected_hopeless, base.rejected_hopeless);
-  s->batches = sub_u(s->batches, base.batches);
-  s->cache_hits = sub_u(s->cache_hits, base.cache_hits);
-  s->cache_misses = sub_u(s->cache_misses, base.cache_misses);
-  s->deadline_missed = sub_u(s->deadline_missed, base.deadline_missed);
-  s->forward_failures = sub_u(s->forward_failures, base.forward_failures);
-  s->total_queue_ms = sub_d(s->total_queue_ms, base.total_queue_ms);
-  s->total_compute_ms = sub_d(s->total_compute_ms, base.total_compute_ms);
+InferenceEngineStats InferenceEngine::ReadWindow(int64_t model_id) const {
+  std::vector<obs::MetricsRegistry::FamilySnapshot> families =
+      metrics_->Collect();
+  {
+    std::lock_guard<std::mutex> lock(window_mu_);
+    families = obs::SubtractBase(std::move(families), window_base_);
+  }
+  return ReadEngineStats(families, model_id);
 }
 
-}  // namespace
+void InferenceEngine::OverlayPlanner(int64_t model_id,
+                                     InferenceEngineStats* s) const {
+  if (adaptive_planner_ == nullptr) return;
+  const AdaptivePlanner::Snapshot planner =
+      adaptive_planner_->ModelSnapshot(model_id);
+  s->planner_samples = planner.samples;
+  s->planner_outliers = planner.outliers;
+  s->planner_plan_updates = planner.plan_updates;
+  s->planner_batch = planner.plan;
+  s->planner_ceiling = planner.ceiling;
+  s->planner_seed_batch = planner.seed_plan;
+}
 
 void InferenceEngine::ResetStatsWindow() {
   std::lock_guard<std::mutex> lock(window_mu_);
-  window_base_ = ReadScope(agg_);
-  for (size_t i = 0; i < per_model_.size(); ++i) {
-    model_window_base_[i] = ReadScope(per_model_[i]);
-  }
+  window_base_ = metrics_->Collect();
   // High-water marks restart from zero rather than subtracting (a maximum
   // cannot be windowed by subtraction). A batch completing concurrently may
   // land its observation on either side of the boundary.
-  const auto reset_marks = [](const ScopeMetrics& m) {
+  for (const ScopeMetrics& m : per_model_) {
     m.max_micro_batch->Reset();
     m.max_compute_ms->Reset();
-  };
-  reset_marks(agg_);
-  for (const ScopeMetrics& m : per_model_) reset_marks(m);
+  }
 }
 
 InferenceEngineStats InferenceEngine::stats() const {
-  InferenceEngineStats snapshot = ReadScope(agg_);
-  {
-    std::lock_guard<std::mutex> window_lock(window_mu_);
-    SubtractWindowBase(&snapshot, window_base_);
-  }
+  InferenceEngineStats snapshot = ReadWindow(/*model_id=*/-1);
   // The queue snapshot lands in one consistent view under the queue mutex
   // (instantaneous load, not counters racing the queue).
   {
@@ -746,26 +773,14 @@ InferenceEngineStats InferenceEngine::stats() const {
     snapshot.queue_depth_batch = queue_.depth(Priority::kBatch);
     snapshot.in_flight_batches = in_flight_batches_;
   }
-  if (adaptive_planner_ != nullptr) {
-    const AdaptivePlanner::Snapshot planner =
-        adaptive_planner_->ModelSnapshot(/*model_id=*/-1);
-    snapshot.planner_samples = planner.samples;
-    snapshot.planner_outliers = planner.outliers;
-    snapshot.planner_plan_updates = planner.plan_updates;
-    snapshot.planner_batch = planner.plan;
-    snapshot.planner_ceiling = planner.ceiling;
-    snapshot.planner_seed_batch = planner.seed_plan;
-  }
+  OverlayPlanner(/*model_id=*/-1, &snapshot);
   return snapshot;
 }
 
 InferenceEngineStats InferenceEngine::model_stats(int64_t model_id) const {
   InferenceEngineStats snapshot;
   if (model_id >= 0 && model_id < static_cast<int64_t>(per_model_.size())) {
-    snapshot = ReadScope(per_model_[static_cast<size_t>(model_id)]);
-    std::lock_guard<std::mutex> window_lock(window_mu_);
-    SubtractWindowBase(&snapshot,
-                       model_window_base_[static_cast<size_t>(model_id)]);
+    snapshot = ReadWindow(model_id);
   }
   {
     std::lock_guard<std::mutex> queue_lock(mu_);
@@ -776,16 +791,7 @@ InferenceEngineStats InferenceEngine::model_stats(int64_t model_id) const {
     snapshot.weight_bytes = model->WeightBytes();
     snapshot.weight_bytes_ratio = model->QuantizedBytesRatio();
   }
-  if (adaptive_planner_ != nullptr) {
-    const AdaptivePlanner::Snapshot planner =
-        adaptive_planner_->ModelSnapshot(model_id);
-    snapshot.planner_samples = planner.samples;
-    snapshot.planner_outliers = planner.outliers;
-    snapshot.planner_plan_updates = planner.plan_updates;
-    snapshot.planner_batch = planner.plan;
-    snapshot.planner_ceiling = planner.ceiling;
-    snapshot.planner_seed_batch = planner.seed_plan;
-  }
+  OverlayPlanner(model_id, &snapshot);
   return snapshot;
 }
 
@@ -793,15 +799,14 @@ void InferenceEngine::RefreshExportGauges() const {
   obs::MetricsRegistry* r = metrics_;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    r->GetGauge("rita_queue_depth", "Queued requests", {{"class", "all"}})
+    r->GetGauge(kQueueDepthFamily, "Queued requests", {{"class", "all"}})
         ->Set(static_cast<double>(queue_.depth()));
-    r->GetGauge("rita_queue_depth", "Queued requests",
+    r->GetGauge(kQueueDepthFamily, "Queued requests",
                 {{"class", "interactive"}})
         ->Set(static_cast<double>(queue_.depth(Priority::kInteractive)));
-    r->GetGauge("rita_queue_depth", "Queued requests", {{"class", "batch"}})
+    r->GetGauge(kQueueDepthFamily, "Queued requests", {{"class", "batch"}})
         ->Set(static_cast<double>(queue_.depth(Priority::kBatch)));
-    r->GetGauge("rita_in_flight_batches",
-                "Micro-batches currently executing")
+    r->GetGauge(kInFlightFamily, "Micro-batches currently executing")
         ->Set(static_cast<double>(in_flight_batches_));
   }
   {

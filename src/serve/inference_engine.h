@@ -22,6 +22,7 @@
 #ifndef RITA_SERVE_INFERENCE_ENGINE_H_
 #define RITA_SERVE_INFERENCE_ENGINE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -151,8 +152,13 @@ struct InferenceEngineStats {
   int64_t weight_bytes = 0;
   double weight_bytes_ratio = 1.0;
 
+  /// Requests that went through a forward. Saturates at 0: counters read at
+  /// slightly different instants can show more hits than completions.
+  uint64_t Computed() const {
+    return completed - std::min(completed, cache_hits);
+  }
   double AvgQueueMs() const {
-    const uint64_t computed = completed - cache_hits;
+    const uint64_t computed = Computed();
     return computed == 0 ? 0.0 : total_queue_ms / static_cast<double>(computed);
   }
   /// Mean measured forward time per micro-batch.
@@ -162,7 +168,7 @@ struct InferenceEngineStats {
   }
   double AvgBatchSize() const {
     return batches == 0 ? 0.0
-                        : static_cast<double>(completed - cache_hits) /
+                        : static_cast<double>(Computed()) /
                               static_cast<double>(batches);
   }
   double CacheHitRatio() const {
@@ -172,6 +178,15 @@ struct InferenceEngineStats {
                : static_cast<double>(cache_hits) / static_cast<double>(lookups);
   }
 };
+
+/// The one reader of engine stats, over a registry snapshot (or several
+/// replicas' snapshots concatenated): counters, histogram sums, queue-depth
+/// and in-flight gauges add; the max-gauges take their maximum. `model_id`
+/// >= 0 reads only the {model="<id>"} instances, -1 reads all. Planner and
+/// model-identity fields keep their defaults.
+InferenceEngineStats ReadEngineStats(
+    const std::vector<obs::MetricsRegistry::FamilySnapshot>& families,
+    int64_t model_id = -1);
 
 class InferenceEngine {
  public:
@@ -211,7 +226,8 @@ class InferenceEngine {
   /// completes); the destructor calls it.
   void Shutdown();
 
-  /// Aggregate counters + instantaneous queue/in-flight snapshot.
+  /// Engine-wide counters (every model's instances summed) + instantaneous
+  /// queue/in-flight snapshot.
   InferenceEngineStats stats() const;
   /// Per-model counters (queue_depth = that model's queued requests;
   /// in-flight and class-split depths are engine-wide and left 0).
@@ -241,9 +257,9 @@ class InferenceEngine {
  private:
   enum class RejectKind { kInvalid, kBackpressure, kHopeless };
 
-  /// The metric instances one stats scope (aggregate or per-model) writes on
-  /// the hot path. Raw pointers into the registry, resolved once in Start();
-  /// workers never touch the registry mutex.
+  /// The metric instances one model writes on the hot path, all labelled
+  /// {model="<id>"}. Raw pointers into the registry, resolved once in
+  /// Start(); workers never touch the registry mutex.
   struct ScopeMetrics {
     obs::Counter* completed = nullptr;
     obs::Counter* rejected_invalid = nullptr;
@@ -270,8 +286,11 @@ class InferenceEngine {
   void ExecuteBatch(std::vector<ScheduledRequest> batch);
   void CountRejection(int64_t model_id, RejectKind kind);
   ScopeMetrics RegisterScope(const obs::LabelSet& labels);
-  /// Cumulative EngineStats view of one scope's metrics (no window applied).
-  InferenceEngineStats ReadScope(const ScopeMetrics& scope) const;
+  /// ReadEngineStats over the registry since the last ResetStatsWindow().
+  InferenceEngineStats ReadWindow(int64_t model_id) const;
+  /// Copies the adaptive planner's state for `model_id` (-1 = every model)
+  /// into `s`; no-op without an adaptive planner.
+  void OverlayPlanner(int64_t model_id, InferenceEngineStats* s) const;
   /// Pushes the instantaneous queue/planner/cache/model gauges into the
   /// registry (export-time only; EngineStats reads them directly).
   void RefreshExportGauges() const;
@@ -296,19 +315,20 @@ class InferenceEngine {
   std::once_flag shutdown_once_;
 
   // Metrics backing store. Workers write lock-free through the cached
-  // ScopeMetrics pointers; stats()/exporters read. No stats mutex on the
-  // request path anymore.
+  // ScopeMetrics pointers, once per event; stats()/exporters read snapshots.
+  // No stats mutex on the request path.
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  ScopeMetrics agg_;
   std::vector<ScopeMetrics> per_model_;  // indexed by model id
+  // Invalid rejections of a model_id no model owns: the one engine counter
+  // without a model label, rita_requests_rejected_total{reason="invalid"}.
+  obs::Counter* rejected_unknown_model_ = nullptr;
 
-  // Reporting window: stats() subtracts the base captured at the last
-  // ResetStatsWindow(). Guarded by window_mu_ (independent of mu_; stats()
-  // takes window_mu_ then mu_, never nested the other way).
+  // Reporting window: stats() subtracts the Collect() captured at the last
+  // ResetStatsWindow() (empty = since construction). Guarded by window_mu_
+  // (independent of mu_; never held while taking mu_).
   mutable std::mutex window_mu_;
-  InferenceEngineStats window_base_;
-  std::vector<InferenceEngineStats> model_window_base_;
+  std::vector<obs::MetricsRegistry::FamilySnapshot> window_base_;
 
   // Periodic snapshot logger (options_.stats_log_interval_ms > 0).
   std::thread logger_;

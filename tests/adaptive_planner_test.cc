@@ -471,19 +471,17 @@ TEST(AdaptiveEngineTest, HopelessDeadlinesShedAtAdmission) {
 
   // Warm the planner's latency estimate for this (model, task, bucket) with
   // VARIED batch sizes (a constant size leaves the latency slope
-  // indeterminate): pause, pre-load a burst of known size, resume, drain.
-  uint64_t seed_counter = 2000;
+  // indeterminate). The samples are injected with a fixed cost linear in the
+  // batch, so the fit cannot land at <= 0 on a contended host.
   for (int round = 0; round < 12; ++round) {
-    const int burst = 2 + round % 3;  // 2, 3, 4
-    engine.Pause();
-    std::vector<std::future<InferenceResponse>> futures;
-    for (int i = 0; i < burst; ++i) {
-      InferenceRequest request;
-      request.series = MakeSeries(60, 2, seed_counter++);
-      futures.push_back(engine.Submit(std::move(request)));
-    }
-    engine.Resume();
-    for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+    core::BatchTelemetry sample;
+    sample.model_id = 0;
+    sample.task = 0;
+    sample.length = 60;
+    sample.groups = fx.frozen->num_groups();
+    sample.batch = 2 + round % 3;  // 2, 3, 4
+    sample.compute_ms = 1.0 + 0.5 * static_cast<double>(sample.batch);
+    fx.planner.Observe(sample);
   }
   ASSERT_GT(fx.planner.EstimateComputeMs(0, 0, 60, 1), 0.0)
       << "estimate must be live before the shed can trigger";

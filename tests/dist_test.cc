@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -242,52 +243,6 @@ TEST(DistSerdeTest, ResponseRoundTripsBitwise) {
   }
 }
 
-TEST(DistSerdeTest, EngineStatsRoundTripAndAccumulate) {
-  serve::InferenceEngineStats a;
-  a.completed = 10;
-  a.rejected_invalid = 1;
-  a.rejected_backpressure = 2;
-  a.rejected_hopeless = 3;
-  a.batches = 4;
-  a.cache_hits = 5;
-  a.cache_misses = 6;
-  a.deadline_missed = 7;
-  a.max_micro_batch = 8;
-  a.total_queue_ms = 9.5;
-  a.total_compute_ms = 10.5;
-  a.max_compute_ms = 11.5;
-  a.forward_failures = 17;
-  a.queue_depth = 18;
-
-  WireWriter w;
-  EncodeEngineStats(a, &w);
-  // Layout pin (wire v2): 9 u64 counters, 5 i64 gauges, 3 f64 sums/maxima.
-  EXPECT_EQ(w.buffer().size(), 17u * 8u);
-  EXPECT_EQ(kWireVersion, 2);
-  WireReader r(w.buffer());
-  serve::InferenceEngineStats decoded;
-  ASSERT_TRUE(DecodeEngineStats(&r, &decoded).ok());
-  ASSERT_TRUE(r.Finish().ok());
-  EXPECT_EQ(decoded.completed, a.completed);
-  EXPECT_EQ(decoded.forward_failures, a.forward_failures);
-  EXPECT_EQ(decoded.max_micro_batch, a.max_micro_batch);
-  EXPECT_EQ(decoded.total_compute_ms, a.total_compute_ms);
-  EXPECT_EQ(decoded.queue_depth, a.queue_depth);
-
-  // Fleet merge semantics: counters/sums add, maxima max.
-  serve::InferenceEngineStats b = a;
-  b.completed = 100;
-  b.max_micro_batch = 2;
-  b.max_compute_ms = 99.0;
-  serve::InferenceEngineStats merged;
-  AccumulateEngineStats(a, &merged);
-  AccumulateEngineStats(b, &merged);
-  EXPECT_EQ(merged.completed, 110u);
-  EXPECT_EQ(merged.max_micro_batch, 8);      // max, not sum
-  EXPECT_EQ(merged.max_compute_ms, 99.0);    // max, not sum
-  EXPECT_EQ(merged.total_compute_ms, 21.0);  // sum
-}
-
 TEST(DistSerdeTest, ModelSetRoundTrips) {
   std::vector<serve::ModelInfo> models;
   serve::ModelInfo m;
@@ -333,11 +288,6 @@ TEST(DistSerdeTest, GarbageBytesNeverCrashDecoders) {
       WireReader r(bytes);
       serve::InferenceResponse out;
       (void)DecodeResponse(&r, &out);
-    }
-    {
-      WireReader r(bytes);
-      serve::InferenceEngineStats out;
-      (void)DecodeEngineStats(&r, &out);
     }
     {
       WireReader r(bytes);
@@ -470,7 +420,7 @@ TEST(DistTransportTest, BadMagicIsTypedInvalidArgument) {
 }
 
 // Both directions of skew, including a peer still on the previous layout
-// (v1 stats payloads carried two more counters), fail typed, not as a decode
+// (v2 still spoke the stats pull/reply pair), fail typed, not as a decode
 // error on the payload.
 TEST(DistTransportTest, VersionSkewIsTypedNotSupported) {
   for (const uint16_t wrong_version : {static_cast<uint16_t>(kWireVersion - 1),
@@ -490,6 +440,29 @@ TEST(DistTransportTest, VersionSkewIsTypedNotSupported) {
     EXPECT_EQ(sp.b.ReadFrame(&type, &payload, 1000.0, 1000.0).code(),
               StatusCode::kNotSupported)
         << "version " << wrong_version;
+  }
+}
+
+// Wire values 3 and 4 (the stats pull/reply pair removed in v3) are unknown
+// types now, rejected like any other: typed, before the payload is read.
+TEST(DistTransportTest, RetiredStatsMessageTypesAreTypedInvalidArgument) {
+  for (const uint16_t retired : {uint16_t{3}, uint16_t{4}}) {
+    SocketPair sp;
+    uint8_t header[12] = {0};
+    const uint32_t magic = kFrameMagic;
+    const uint16_t version = kWireVersion;
+    const uint32_t len = 0;
+    std::memcpy(header + 0, &magic, 4);
+    std::memcpy(header + 4, &version, 2);
+    std::memcpy(header + 6, &retired, 2);
+    std::memcpy(header + 8, &len, 4);
+    SendRaw(sp.a, header, sizeof(header));
+    MessageType type;
+    std::vector<uint8_t> payload;
+    Status st = sp.b.ReadFrame(&type, &payload, 1000.0, 1000.0);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "type " << retired;
+    EXPECT_NE(st.message().find("unknown message type"), std::string::npos)
+        << st.ToString();
   }
 }
 
@@ -864,6 +837,80 @@ TEST(RouterTest, FleetMetricsCarryReplicaLabels) {
 
   // Model sets agree (same source weights => same fingerprints).
   EXPECT_TRUE(router.CheckModelSetsConsistent().ok());
+}
+
+// FleetStats() reads the replicas' metric families with the engine's own
+// stats reader, so it must equal the field-wise combination of the replica
+// engines' stats(): counters, sums and depths add, maxima max.
+TEST(RouterTest, FleetStatsEqualCombinedReplicaStats) {
+  model::RitaConfig config = SmallConfig();
+  Rng rng(101);
+  model::RitaModel source(config, &rng);
+  Replica r0 = MakeReplica(source);
+  Replica r1 = MakeReplica(source);
+  Router router;
+  router.AddReplica("127.0.0.1", r0.server->port());
+  router.AddReplica("127.0.0.1", r1.server->port());
+  ASSERT_TRUE(router.Start().ok());
+
+  // Mixed traffic: all three tasks over distinct series, one series three
+  // times (admitted on its second sighting, so the third hits the cache),
+  // an invalid series, and a model_id no replica serves.
+  const serve::ServeTask tasks[] = {serve::ServeTask::kClassify,
+                                    serve::ServeTask::kEmbed,
+                                    serve::ServeTask::kReconstruct};
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    serve::InferenceRequest request;
+    request.series = MakeSeries(60, 2, 6000 + seed);
+    request.task = tasks[seed % 3];
+    ASSERT_TRUE(router.Submit(std::move(request)).get().status.ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    serve::InferenceRequest same;
+    same.series = MakeSeries(60, 2, 6100);
+    const serve::InferenceResponse response =
+        router.Submit(std::move(same)).get();
+    ASSERT_TRUE(response.status.ok());
+    EXPECT_EQ(response.cache_hit, i == 2);
+  }
+  serve::InferenceRequest bad;
+  bad.series = Tensor::Zeros({1, 60, 2});  // wrong rank
+  EXPECT_EQ(router.Submit(std::move(bad)).get().status.code(),
+            StatusCode::kInvalidArgument);
+  serve::InferenceRequest unknown;
+  unknown.series = MakeSeries(60, 2, 6200);
+  unknown.model_id = 5;
+  EXPECT_EQ(router.Submit(std::move(unknown)).get().status.code(),
+            StatusCode::kInvalidArgument);
+
+  const serve::InferenceEngineStats fleet = router.FleetStats();
+  const serve::InferenceEngineStats a = r0.engine->stats();
+  const serve::InferenceEngineStats b = r1.engine->stats();
+  EXPECT_EQ(fleet.completed, 15u);
+  EXPECT_EQ(fleet.cache_hits, 1u);
+  EXPECT_EQ(fleet.rejected_invalid, 2u);
+
+  EXPECT_EQ(fleet.completed, a.completed + b.completed);
+  EXPECT_EQ(fleet.rejected_invalid, a.rejected_invalid + b.rejected_invalid);
+  EXPECT_EQ(fleet.rejected_backpressure,
+            a.rejected_backpressure + b.rejected_backpressure);
+  EXPECT_EQ(fleet.rejected_hopeless,
+            a.rejected_hopeless + b.rejected_hopeless);
+  EXPECT_EQ(fleet.batches, a.batches + b.batches);
+  EXPECT_EQ(fleet.cache_hits, a.cache_hits + b.cache_hits);
+  EXPECT_EQ(fleet.cache_misses, a.cache_misses + b.cache_misses);
+  EXPECT_EQ(fleet.deadline_missed, a.deadline_missed + b.deadline_missed);
+  EXPECT_EQ(fleet.forward_failures, a.forward_failures + b.forward_failures);
+  EXPECT_EQ(fleet.max_micro_batch,
+            std::max(a.max_micro_batch, b.max_micro_batch));
+  EXPECT_EQ(fleet.total_queue_ms, a.total_queue_ms + b.total_queue_ms);
+  EXPECT_EQ(fleet.total_compute_ms, a.total_compute_ms + b.total_compute_ms);
+  EXPECT_EQ(fleet.max_compute_ms, std::max(a.max_compute_ms, b.max_compute_ms));
+  EXPECT_EQ(fleet.queue_depth, a.queue_depth + b.queue_depth);
+  EXPECT_EQ(fleet.queue_depth_interactive,
+            a.queue_depth_interactive + b.queue_depth_interactive);
+  EXPECT_EQ(fleet.queue_depth_batch, a.queue_depth_batch + b.queue_depth_batch);
+  EXPECT_EQ(fleet.in_flight_batches, a.in_flight_batches + b.in_flight_batches);
 }
 
 TEST(RouterTest, MismatchedFleetFailsConsistencyCheck) {

@@ -8,6 +8,7 @@
 // neutrality of tracing on the engine's outputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -166,6 +167,64 @@ TEST(HistogramTest, SnapshotMergeAndSubtractAlgebra) {
   EXPECT_EQ(merged.Count(), 150u);
 }
 
+// The registry-level window: SubtractBase over two Collect() snapshots.
+TEST(RegistryTest, SubtractBaseWindowsCountersAndHistogramsOnly) {
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("w_total", "c", {{"model", "0"}});
+  Histogram* hist = registry.GetHistogram("w_ms", "h");
+  Gauge* gauge = registry.GetGauge("w_depth", "g");
+  MaxGauge* max_gauge = registry.GetMaxGauge("w_max", "m");
+  counter->Add(5);
+  hist->Observe(1.0);
+  hist->Observe(2.0);
+  gauge->Set(7.0);
+  max_gauge->Observe(9.0);
+  const auto base = registry.Collect();
+
+  counter->Add(3);
+  hist->Observe(1000.0);
+  gauge->Set(4.0);
+  max_gauge->Observe(11.0);
+  // Registered after the base: no base instance, passes through whole.
+  registry.GetCounter("w_total", "c", {{"model", "1"}})->Add(6);
+
+  const auto window = SubtractBase(registry.Collect(), base);
+  std::map<std::string, const MetricsRegistry::FamilySnapshot*> by_name;
+  for (const auto& family : window) by_name[family.name] = &family;
+  ASSERT_EQ(by_name.size(), 4u);
+
+  const auto& counters = by_name["w_total"]->instances;
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters[0].labels, (LabelSet{{"model", "0"}}));
+  EXPECT_EQ(counters[0].value, 3.0);
+  EXPECT_EQ(counters[1].labels, (LabelSet{{"model", "1"}}));
+  EXPECT_EQ(counters[1].value, 6.0);
+
+  const HistogramSnapshot& windowed = by_name["w_ms"]->instances[0].hist;
+  EXPECT_EQ(windowed.Count(), 1u);
+  EXPECT_EQ(windowed.Sum(), 1000.0);
+  for (int i = 0; i < HistogramLayout::kNumBuckets; ++i) {
+    const uint64_t want = i == HistogramLayout::Index(1000.0) ? 1u : 0u;
+    EXPECT_EQ(windowed.bucket_counts()[i], want) << "bucket " << i;
+  }
+
+  // Gauges and max-gauges are readings, not totals: they pass through.
+  EXPECT_EQ(by_name["w_depth"]->instances[0].value, 4.0);
+  EXPECT_EQ(by_name["w_max"]->instances[0].value, 11.0);
+
+  // A base ahead of the current reading saturates at zero.
+  const auto ahead = SubtractBase(base, registry.Collect());
+  for (const auto& family : ahead) {
+    if (family.name == "w_total") {
+      EXPECT_EQ(family.instances[0].value, 0.0);
+    }
+    if (family.name == "w_ms") {
+      EXPECT_EQ(family.instances[0].hist.Count(), 0u);
+      EXPECT_EQ(family.instances[0].hist.Sum(), 0.0);
+    }
+  }
+}
+
 TEST(CounterTest, ConvergesUnderConcurrentAdds) {
   Counter c;
   Gauge g;
@@ -321,18 +380,19 @@ TEST(EngineObsTest, PrometheusExportListsEveryEngineMetric) {
     EXPECT_NE(text.find(family), std::string::npos)
         << "missing metric family: " << family;
   }
-  EXPECT_NE(text.find("rita_requests_completed_total 10"), std::string::npos);
+  EXPECT_NE(text.find("rita_requests_completed_total{model=\"0\"} 10"),
+            std::string::npos);
   // Histogram percentiles over the served load are queryable and sane.
   const HistogramSnapshot compute =
       engine.metrics()
-          .GetHistogram("rita_compute_latency_ms", "", {})
+          .GetHistogram("rita_compute_latency_ms", "", {{"model", "0"}})
           ->Snapshot();
   EXPECT_EQ(compute.Count(), 10u);  // one solo batch per sequential request
   EXPECT_GT(compute.Quantile(0.5), 0.0);
   EXPECT_LE(compute.Quantile(0.5), compute.Quantile(0.99));
   const HistogramSnapshot queue =
       engine.metrics()
-          .GetHistogram("rita_queue_latency_ms", "", {})
+          .GetHistogram("rita_queue_latency_ms", "", {{"model", "0"}})
           ->Snapshot();
   EXPECT_EQ(queue.Count(), 10u);
   EXPECT_LE(queue.Quantile(0.5), queue.Quantile(0.99));
@@ -371,8 +431,96 @@ TEST(EngineObsTest, ResetStatsWindowStartsAFreshInterval) {
   EXPECT_EQ(engine.stats().completed, 2u);
   EXPECT_EQ(engine.stats().max_micro_batch, 1);
   // The backing metrics stay cumulative for Prometheus scrapes.
-  EXPECT_NE(engine.PrometheusText().find("rita_requests_completed_total 7"),
+  EXPECT_NE(engine.PrometheusText().find(
+                "rita_requests_completed_total{model=\"0\"} 7"),
             std::string::npos);
+}
+
+// Each event is written once, to its model's instance: the exposition has no
+// label-less aggregate next to the {model="<id>"} series (the one exception
+// is the invalid rejection of a model_id no model owns), so summing a family
+// over its instances gives the engine total.
+TEST(EngineObsTest, ExpositionHasOneInstancePerModelAndSumsToStats) {
+  model::RitaConfig config = SmallConfig();
+  Rng rng_a(51), rng_b(52);
+  model::RitaModel source_a(config, &rng_a), source_b(config, &rng_b);
+  FrozenModel frozen_a(source_a), frozen_b(source_b);
+  ModelRegistry registry;
+  registry.Register("a", &frozen_a);
+  registry.Register("b", &frozen_b);
+  InferenceEngineOptions options;
+  options.num_workers = 2;
+  InferenceEngine engine(&registry, options);
+
+  for (int i = 0; i < 6; ++i) {
+    InferenceRequest request;
+    request.series = MakeSeries(60, 2, static_cast<uint64_t>(500 + i));
+    request.model_id = i % 2;
+    ASSERT_TRUE(engine.Run(std::move(request)).status.ok());
+  }
+  for (int i = 0; i < 3; ++i) {  // the third identical submit hits
+    InferenceRequest same;
+    same.series = MakeSeries(60, 2, 600);
+    same.model_id = 1;
+    EXPECT_EQ(engine.Run(std::move(same)).cache_hit, i == 2);
+  }
+  InferenceRequest bad;
+  bad.series = MakeSeries(3, 2, 601);  // shorter than one window
+  EXPECT_FALSE(engine.Run(std::move(bad)).status.ok());
+  InferenceRequest unknown;
+  unknown.series = MakeSeries(60, 2, 602);
+  unknown.model_id = 9;
+  EXPECT_FALSE(engine.Run(std::move(unknown)).status.ok());
+
+  const std::vector<std::string> per_model_families = {
+      "rita_requests_completed_total", "rita_requests_rejected_total",
+      "rita_batches_total",            "rita_cache_hits_total",
+      "rita_cache_misses_total",       "rita_deadline_missed_total",
+      "rita_forward_failures_total",   "rita_queue_latency_ms",
+      "rita_compute_latency_ms",       "rita_micro_batch_size",
+      "rita_micro_batch_max",          "rita_compute_latency_max_ms"};
+  const InferenceEngineStats stats = engine.stats();
+  const std::map<std::string, uint64_t> counter_totals = {
+      {"rita_requests_completed_total", stats.completed},
+      {"rita_requests_rejected_total", stats.rejected_invalid +
+                                           stats.rejected_backpressure +
+                                           stats.rejected_hopeless},
+      {"rita_batches_total", stats.batches},
+      {"rita_cache_hits_total", stats.cache_hits},
+      {"rita_cache_misses_total", stats.cache_misses},
+      {"rita_deadline_missed_total", stats.deadline_missed},
+      {"rita_forward_failures_total", stats.forward_failures}};
+  EXPECT_EQ(stats.completed, 9u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.rejected_invalid, 2u);
+
+  std::map<std::string, double> summed;
+  int unlabelled_rejections = 0;
+  for (const auto& family : engine.CollectMetrics()) {
+    const bool per_model =
+        std::find(per_model_families.begin(), per_model_families.end(),
+                  family.name) != per_model_families.end();
+    if (!per_model) continue;
+    for (const auto& inst : family.instances) {
+      bool has_model = false;
+      for (const auto& label : inst.labels) has_model |= label.first == "model";
+      if (!has_model) {
+        EXPECT_EQ(family.name, "rita_requests_rejected_total");
+        EXPECT_EQ(inst.labels, (LabelSet{{"reason", "invalid"}}));
+        EXPECT_EQ(inst.value, 1.0);  // the unknown model_id
+        ++unlabelled_rejections;
+      }
+      summed[family.name] += inst.value;
+    }
+  }
+  EXPECT_EQ(unlabelled_rejections, 1);
+  for (const auto& [family, total] : counter_totals) {
+    EXPECT_EQ(summed[family], static_cast<double>(total)) << family;
+  }
+  // The rendered text agrees: no bare aggregate sample line.
+  const std::string text = engine.PrometheusText();
+  EXPECT_EQ(text.find("\nrita_requests_completed_total "), std::string::npos);
+  EXPECT_EQ(text.find("\nrita_batches_total "), std::string::npos);
 }
 
 TEST(EngineObsTest, StatsLoggerHookReceivesSnapshots) {

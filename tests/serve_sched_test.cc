@@ -456,6 +456,9 @@ TEST(ServeSchedEngineTest, MultiModelRoutingStatsAndCacheSeparation) {
   EXPECT_EQ(stats_b.completed, static_cast<uint64_t>(3 * kRequests));
   EXPECT_EQ(stats_b.cache_hits, static_cast<uint64_t>(kRequests));
   EXPECT_EQ(stats_a.cache_hits, 0u);
+  // The unknown model's rejection belongs to no model.
+  EXPECT_EQ(stats_a.rejected_invalid, 0u);
+  EXPECT_EQ(stats_b.rejected_invalid, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -329,6 +330,23 @@ TEST(InferenceEngineTest, CoalescesQueuedRequestsIntoMicroBatches) {
   engine.Resume();
   for (auto& future : paused_futures) ASSERT_TRUE(future.get().status.ok());
   EXPECT_EQ(engine.stats().completed, static_cast<uint64_t>(kRequests + 8));
+}
+
+// Relaxed counter reads, or a window whose two counters were read at
+// different instants, can show more cache hits than completions; the
+// averages must not wrap the unsigned difference.
+TEST(InferenceEngineStatsTest, AveragesSaturateWhenHitsExceedCompleted) {
+  InferenceEngineStats stats;
+  stats.completed = 3;
+  stats.cache_hits = 5;
+  stats.batches = 2;
+  stats.total_queue_ms = 4.0;
+  EXPECT_EQ(stats.Computed(), 0u);
+  for (const double avg : {stats.AvgQueueMs(), stats.AvgBatchSize()}) {
+    EXPECT_TRUE(std::isfinite(avg));
+    EXPECT_GE(avg, 0.0);
+    EXPECT_LE(avg, 4.0);
+  }
 }
 
 TEST(InferenceEngineTest, PlannerCapsMicroBatches) {
