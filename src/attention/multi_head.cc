@@ -1,9 +1,66 @@
 #include "attention/multi_head.h"
 
+#include <algorithm>
+
+#include "autograd/function.h"
 #include "obs/trace.h"
+#include "tensor/tensor_ops.h"
 
 namespace rita {
 namespace attn {
+
+namespace {
+
+// Copies between the token-major [B, n, H * dh] layout and the head-major
+// [B * H, n, dh] one, one d_head-contiguous block at a time. A copied float
+// costs about as much as 8 SIMD GEMM multiply-adds (4-vCPU AVX2 host, 64-wide
+// tokens: 2008 tokens 39 us serial vs 35 us sharded, 4016 tokens 82 vs 43 us).
+Tensor CopyHeads(const Tensor& x, int64_t b, int64_t n, int64_t heads, int64_t dh,
+                 bool split) {
+  Tensor out(split ? Shape{b * heads, n, dh} : Shape{b, n, heads * dh});
+  const float* src = x.data();
+  float* dst = out.data();
+  ops::ParallelRows(b * n, 8 * heads * dh, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t bi = t / n, i = t % n;
+      for (int64_t h = 0; h < heads; ++h) {
+        const int64_t token = (t * heads + h) * dh;
+        const int64_t head = ((bi * heads + h) * n + i) * dh;
+        if (split) {
+          std::copy(src + token, src + token + dh, dst + head);
+        } else {
+          std::copy(src + head, src + head + dh, dst + token);
+        }
+      }
+    }
+  });
+  return out;
+}
+
+// Head split (split = true) or merge; the backward is the inverse copy.
+class HeadCopyFunction : public ag::Function {
+ public:
+  HeadCopyFunction(int64_t b, int64_t n, int64_t heads, int64_t dh, bool split)
+      : b_(b), n_(n), heads_(heads), dh_(dh), split_(split) {}
+  std::string name() const override { return split_ ? "SplitHeads" : "MergeHeads"; }
+  std::vector<Tensor> Backward(const Tensor& g) override {
+    return {CopyHeads(g, b_, n_, heads_, dh_, !split_)};
+  }
+
+ private:
+  int64_t b_, n_, heads_, dh_;
+  bool split_;
+};
+
+ag::Variable HeadCopy(const ag::Variable& x, int64_t b, int64_t n, int64_t heads,
+                      int64_t dh, bool split) {
+  ag::Variable out(CopyHeads(x.data(), b, n, heads, dh, split));
+  ag::Function::Connect(std::make_shared<HeadCopyFunction>(b, n, heads, dh, split), {x},
+                        &out);
+  return out;
+}
+
+}  // namespace
 
 MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t num_heads,
                                        std::unique_ptr<AttentionMechanism> mechanism,
@@ -37,9 +94,7 @@ ag::Variable MultiHeadAttention::ProjectHeads(int which, const ag::Variable& x) 
   nn::Linear* proj = which == 0 ? &wq_ : which == 1 ? &wk_ : &wv_;
   RITA_CHECK(which >= 0 && which <= 2) << "ProjectHeads: bad projection " << which;
   // [B, n, d] -> [B*H, n, d_head]
-  ag::Variable r = ag::Reshape(proj->Forward(x), {b, n, num_heads_, head_dim_});
-  r = ag::Permute(r, {0, 2, 1, 3});
-  return ag::Reshape(r, {b * num_heads_, n, head_dim_});
+  return HeadCopy(proj->Forward(x), b, n, num_heads_, head_dim_, /*split=*/true);
 }
 
 ag::Variable MultiHeadAttention::MechanismForward(const ag::Variable& q,
@@ -56,9 +111,8 @@ ag::Variable MultiHeadAttention::MechanismForward(const ag::Variable& q,
 ag::Variable MultiHeadAttention::MergeHeads(const ag::Variable& o, int64_t b,
                                             int64_t n) {
   // [B*H, n, d_head] -> [B, n, d]
-  ag::Variable r = ag::Reshape(o, {b, num_heads_, n, head_dim_});
-  r = ag::Permute(r, {0, 2, 1, 3});
-  return wo_.Forward(ag::Reshape(r, {b, n, dim_}));
+  RITA_CHECK_EQ(o.numel(), b * n * dim_);
+  return wo_.Forward(HeadCopy(o, b, n, num_heads_, head_dim_, /*split=*/false));
 }
 
 ag::Variable MultiHeadAttention::Forward(const ag::Variable& x, ForwardState* state) {

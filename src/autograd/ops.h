@@ -35,6 +35,12 @@ Variable Gelu(const Variable& a);
 /// 2-D matmul with optional transposes.
 Variable MatMul(const Variable& a, const Variable& b, bool trans_a = false,
                 bool trans_b = false);
+/// Records the backward node of y = x W (+ b) over x's last dim for an output
+/// the caller already computed (nn::Linear's row loop): dx and dW through the
+/// ops::MatMul pair, db through ops::ReduceToShape. `bias` may be undefined.
+/// No-op with grad mode off or when nothing upstream needs a gradient.
+void ConnectLinear(const Variable& x, const Variable& weight, const Variable& bias,
+                   Variable* out);
 /// Batched 3-D matmul; `b` may be a shared 2-D matrix.
 Variable Bmm(const Variable& a, const Variable& b, bool trans_a = false,
              bool trans_b = false);

@@ -1,4 +1,5 @@
-// MatMul / Bmm with full transpose-flag support in forward and backward.
+// MatMul / Bmm with full transpose-flag support in forward and backward, and
+// the backward node of nn::Linear.
 #include "autograd/function.h"
 #include "autograd/ops.h"
 #include "tensor/tensor_ops.h"
@@ -81,7 +82,42 @@ class BmmFunction : public Function {
   bool ta_, tb_;
 };
 
+// y = x W + b with x flattened to [rows, in]. The gradients are the ones the
+// Reshape -> MatMul -> Reshape -> Add chain produced, bit for bit: the same
+// ops::MatMul pair for dx/dW and ops::ReduceToShape over y's own shape for b.
+class LinearFunction : public Function {
+ public:
+  LinearFunction(Tensor x, Tensor w, bool has_bias)
+      : x_(std::move(x)), w_(std::move(w)), has_bias_(has_bias) {}
+  std::string name() const override { return "Linear"; }
+
+  std::vector<Tensor> Backward(const Tensor& g) override {
+    const int64_t in = w_.size(0), out = w_.size(1);
+    const Tensor g_flat = g.Reshape({-1, out});
+    const Tensor x_flat = x_.Reshape({-1, in});
+    std::vector<Tensor> grads = {
+        ops::MatMul(g_flat, w_, false, true).Reshape(x_.shape()),
+        ops::MatMul(x_flat, g_flat, true, false)};
+    if (has_bias_) grads.push_back(ops::ReduceToShape(g, {out}));
+    return grads;
+  }
+
+ private:
+  Tensor x_, w_;
+  bool has_bias_;
+};
+
 }  // namespace
+
+void ConnectLinear(const Variable& x, const Variable& weight, const Variable& bias,
+                   Variable* out) {
+  if (!GradModeEnabled()) return;
+  const bool has_bias = bias.defined();
+  std::vector<Variable> inputs = {x, weight};
+  if (has_bias) inputs.push_back(bias);
+  Function::Connect(std::make_shared<LinearFunction>(x.data(), weight.data(), has_bias),
+                    std::move(inputs), out);
+}
 
 Variable MatMul(const Variable& a, const Variable& b, bool trans_a, bool trans_b) {
   Variable out(ops::MatMul(a.data(), b.data(), trans_a, trans_b));

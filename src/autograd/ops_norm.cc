@@ -147,39 +147,49 @@ Variable LayerNorm(const Variable& x, const Variable& gamma, const Variable& bet
   RITA_CHECK_EQ(beta.numel(), d);
   const int64_t rows = x.numel() / d;
 
+  // Only a backward reads xhat / inv_std, so a grad-free forward skips them.
+  const bool grad = GradModeEnabled();
   Tensor y(x.shape());
-  Tensor xhat(x.shape());
-  Tensor inv_std({rows});
+  Tensor xhat = grad ? Tensor(x.shape()) : Tensor();
+  Tensor inv_std = grad ? Tensor({rows}) : Tensor();
   const float* px = x.data().data();
   const float* pgm = gamma.data().data();
   const float* pbt = beta.data().data();
   float* py = y.data();
-  float* pxh = xhat.data();
-  float* pis = inv_std.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = px + r * d;
-    float mu = 0.0f;
-    for (int64_t i = 0; i < d; ++i) mu += row[i];
-    mu /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int64_t i = 0; i < d; ++i) {
-      const float c = row[i] - mu;
-      var += c * c;
+  float* pxh = grad ? xhat.data() : nullptr;
+  float* pis = grad ? inv_std.data() : nullptr;
+  // The two serial float reductions per row do not vectorise: an element
+  // costs about as much as 64 SIMD GEMM multiply-adds (d = 64 on a 4-vCPU
+  // AVX2 host: 251 rows 38 us serial vs 29 us sharded, 626 rows 108 vs
+  // 47 us). Rows are independent, so any sharding gives the same bits.
+  ops::ParallelRows(rows, 64 * d, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* row = px + r * d;
+      float mu = 0.0f;
+      for (int64_t i = 0; i < d; ++i) mu += row[i];
+      mu /= static_cast<float>(d);
+      float var = 0.0f;
+      for (int64_t i = 0; i < d; ++i) {
+        const float c = row[i] - mu;
+        var += c * c;
+      }
+      var /= static_cast<float>(d);
+      const float is = 1.0f / std::sqrt(var + eps);
+      float* yr = py + r * d;
+      float* xhr = pxh != nullptr ? pxh + r * d : nullptr;
+      if (pis != nullptr) pis[r] = is;
+      for (int64_t i = 0; i < d; ++i) {
+        const float xh = (row[i] - mu) * is;
+        if (xhr != nullptr) xhr[i] = xh;
+        yr[i] = xh * pgm[i] + pbt[i];
+      }
     }
-    var /= static_cast<float>(d);
-    const float is = 1.0f / std::sqrt(var + eps);
-    pis[r] = is;
-    float* yr = py + r * d;
-    float* xhr = pxh + r * d;
-    for (int64_t i = 0; i < d; ++i) {
-      const float xh = (row[i] - mu) * is;
-      xhr[i] = xh;
-      yr[i] = xh * pgm[i] + pbt[i];
-    }
-  }
+  });
   Variable out(y);
-  Function::Connect(std::make_shared<LayerNormFunction>(xhat, inv_std, gamma.data()),
-                    {x, gamma, beta}, &out);
+  if (grad) {
+    Function::Connect(std::make_shared<LayerNormFunction>(xhat, inv_std, gamma.data()),
+                      {x, gamma, beta}, &out);
+  }
   return out;
 }
 

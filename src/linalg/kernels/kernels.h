@@ -126,15 +126,6 @@ inline void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
                          int64_t r0, int64_t r1) {
   Active().gemm(a, b, c, m, n, k, trans_a, trans_b, r0, r1);
 }
-inline void GemmInt8(const float* a, const int8_t* w, const float* scales,
-                     const int32_t* col_sums, float* c, int64_t m, int64_t n,
-                     int64_t k) {
-  Active().gemm_i8(a, w, scales, col_sums, c, m, n, k, 0, m);
-}
-inline void GemmBf16(const float* a, const uint16_t* w, float* c, int64_t m,
-                     int64_t n, int64_t k) {
-  Active().gemm_bf16(a, w, c, m, n, k, 0, m);
-}
 
 /// The full attention tile chain O = softmax_rows(scale * Q K^T, weights) V,
 /// tiled over query rows so the [tile, ng] score block lives in the leased

@@ -143,10 +143,14 @@ inline __m256 Gelu8(__m256 x) {
   return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
                        _mm256_add_ps(_mm256_set1_ps(1.0f), t));
 }
+// Term for term Gelu8: kA * (x * x), not (kA * x) * x, so a value gets the
+// same result in a vector lane and in the loop tail.
 inline float Gelu1(float x) {
   constexpr float kC = 0.7978845608f;
-  const float inner = kC * std::fmaf(0.044715f * x * x, x, x);
-  return 0.5f * x * (1.0f + Tanh1(inner));
+  constexpr float kA = 0.044715f;
+  const float x2 = x * x;
+  const float inner = kC * std::fmaf(kA * x2, x, x);
+  return (0.5f * x) * (1.0f + Tanh1(inner));
 }
 
 inline float HorizontalSum(__m256 v) {

@@ -1,5 +1,6 @@
 #include "nn/checkpoint.h"
 
+#include <cstdint>
 #include <map>
 
 #include "util/serialize.h"
@@ -10,6 +11,38 @@ namespace nn {
 namespace {
 constexpr uint32_t kMagic = 0x52495441;  // "RITA"
 constexpr uint32_t kVersion = 1;
+// No module tensor has more dims than this; a larger count is corruption.
+constexpr uint64_t kMaxDims = 8;
+
+// Reads an entry's shape, rejecting a corrupt rank, a negative dim or an
+// element count whose float payload would overflow int64 — before anything
+// is allocated from it.
+Status ReadShape(BinaryReader* r, const std::string& name, Shape* shape) {
+  uint64_t ndim = 0;
+  RITA_RETURN_NOT_OK(r->ReadU64(&ndim));
+  if (ndim > kMaxDims) {
+    return Status::InvalidArgument("corrupt checkpoint: entry " + name + " has " +
+                                   std::to_string(ndim) + " dims");
+  }
+  constexpr int64_t kMaxNumel = INT64_MAX / static_cast<int64_t>(sizeof(float));
+  int64_t numel = 1;
+  shape->assign(ndim, 0);
+  for (uint64_t d = 0; d < ndim; ++d) {
+    int64_t dim = 0;
+    RITA_RETURN_NOT_OK(r->ReadI64(&dim));
+    if (dim < 0) {
+      return Status::InvalidArgument("corrupt checkpoint: entry " + name +
+                                     " has negative dim " + std::to_string(dim));
+    }
+    if (dim != 0 && numel > kMaxNumel / dim) {
+      return Status::InvalidArgument("corrupt checkpoint: entry " + name +
+                                     " element count overflows");
+    }
+    numel *= dim;
+    (*shape)[d] = dim;
+  }
+  return Status::OK();
+}
 }  // namespace
 
 Status SaveCheckpoint(const Module& module, const std::string& path) {
@@ -58,17 +91,13 @@ Status LoadCheckpoint(Module* module, const std::string& path, bool allow_partia
   for (uint64_t i = 0; i < count; ++i) {
     std::string name;
     RITA_RETURN_NOT_OK(r.ReadString(&name));
-    uint64_t ndim = 0;
-    RITA_RETURN_NOT_OK(r.ReadU64(&ndim));
-    Shape shape(ndim);
-    for (uint64_t d = 0; d < ndim; ++d) RITA_RETURN_NOT_OK(r.ReadI64(&shape[d]));
+    Shape shape;
+    RITA_RETURN_NOT_OK(ReadShape(&r, name, &shape));
 
     auto it = targets.find(name);
     if (it == targets.end()) {
       if (!allow_partial) return Status::NotFound("unexpected checkpoint entry: " + name);
-      // Skip the payload.
-      Tensor scratch(shape);
-      RITA_RETURN_NOT_OK(r.ReadFloats(scratch.data(), scratch.numel()));
+      RITA_RETURN_NOT_OK(r.SkipFloats(ShapeNumel(shape)));
       continue;
     }
     if (it->second.shape() != shape) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/kernels/kernels.h"
+#include "tensor/tensor_ops.h"
 
 namespace rita {
 namespace nn {
@@ -34,38 +35,41 @@ void Linear::SetQuantizedWeight(const QuantizedTensor* qweight) {
   qweight_ = qweight;
 }
 
-ag::Variable Linear::Forward(const ag::Variable& x) {
+ag::Variable Linear::Forward(const ag::Variable& x, Epilogue epilogue) {
   RITA_CHECK_EQ(x.size(-1), in_features_);
-  if (qweight_ != nullptr && !ag::GradModeEnabled()) {
-    // Quantized serving path: the leading dims flatten to GEMM rows and the
-    // output tensor reuses the same contiguous layout, so no reshape copies.
-    Shape out_shape = x.shape();
-    out_shape.back() = out_features_;
-    const Tensor& in = x.data();
-    const int64_t rows = in.numel() / in_features_;
-    Tensor out_t(std::move(out_shape));
-    if (qweight_->precision() == Precision::kInt8) {
-      kernels::GemmInt8(in.data(), qweight_->int8_data(), qweight_->scales(),
-                        qweight_->col_sums(), out_t.data(), rows, out_features_,
-                        in_features_);
+  const bool grad = ag::GradModeEnabled();
+  RITA_CHECK(!(grad && epilogue == Epilogue::kGelu))
+      << "the GELU epilogue keeps no pre-activation for a backward";
+  // The leading dims flatten to GEMM rows and the output reuses that
+  // contiguous layout, so no reshape copies. Training forwards always use
+  // the fp32 weight.
+  Shape out_shape = x.shape();
+  out_shape.back() = out_features_;
+  Tensor y(std::move(out_shape));
+  const int64_t rows = x.numel() / in_features_;
+  const int64_t n = out_features_, k = in_features_;
+  const float* px = x.data().data();
+  const float* pw = weight_.data().data();
+  const float* pb = has_bias_ ? bias_.data().data() : nullptr;
+  float* py = y.data();
+  const QuantizedTensor* q = grad ? nullptr : qweight_;
+  const kernels::KernelTable& kt = kernels::Active();
+  ops::ParallelRows(rows, n * k, [&](int64_t r0, int64_t r1) {
+    if (q == nullptr) {
+      kt.gemm(px, pw, py, rows, n, k, false, false, r0, r1);
+    } else if (q->precision() == Precision::kInt8) {
+      kt.gemm_i8(px, q->int8_data(), q->scales(), q->col_sums(), py, rows, n, k, r0, r1);
     } else {
-      kernels::GemmBf16(in.data(), qweight_->bf16_data(), out_t.data(), rows,
-                        out_features_, in_features_);
+      kt.gemm_bf16(px, q->bf16_data(), py, rows, n, k, r0, r1);
     }
-    ag::Variable out(std::move(out_t));
-    return has_bias_ ? ag::Add(out, bias_) : out;
-  }
-  ag::Variable out;
-  if (x.dim() == 2) {
-    out = ag::MatMul(x, weight_);
-  } else {
-    // Flatten leading dims, multiply, restore.
-    Shape out_shape = x.shape();
-    out_shape.back() = out_features_;
-    ag::Variable flat = ag::Reshape(x, {-1, in_features_});
-    out = ag::Reshape(ag::MatMul(flat, weight_), std::move(out_shape));
-  }
-  if (has_bias_) out = ag::Add(out, bias_);
+    for (int64_t r = r0; r < r1; ++r) {
+      float* row = py + r * n;
+      if (pb != nullptr) kt.add(row, pb, n);
+      if (epilogue == Epilogue::kGelu) kt.gelu_array(row, row, n);
+    }
+  });
+  ag::Variable out(std::move(y));
+  ag::ConnectLinear(x, weight_, bias_, &out);
   return out;
 }
 
@@ -142,7 +146,12 @@ FeedForward::FeedForward(int64_t dim, int64_t hidden_dim, float dropout, Rng* rn
 }
 
 ag::Variable FeedForward::Forward(const ag::Variable& x) {
-  return fc2_.Forward(drop_.Forward(ag::Gelu(fc1_.Forward(x))));
+  // ag::Gelu's backward needs the pre-activation; a grad-free forward folds
+  // GELU into fc1's row loop instead.
+  ag::Variable hidden = ag::GradModeEnabled()
+                            ? ag::Gelu(fc1_.Forward(x))
+                            : fc1_.Forward(x, Linear::Epilogue::kGelu);
+  return fc2_.Forward(drop_.Forward(hidden));
 }
 
 }  // namespace nn

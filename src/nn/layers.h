@@ -14,21 +14,38 @@ namespace rita {
 namespace nn {
 
 /// Affine map y = x W + b over the last dim; accepts [*, in_features].
+///
+/// One forward for every grad mode and precision: the leading dims flatten
+/// to rows, the rows shard through ops::ParallelRows, and each shard runs
+/// the GEMM row-range kernel straight into the output, then adds the bias
+/// (and applies the optional epilogue) to its own rows. No forward goes
+/// through ag::MatMul. With grad mode on, one ag::ConnectLinear node records
+/// the backward.
 class Linear : public Module {
  public:
+  /// Elementwise map applied to each output row after the bias.
+  enum class Epilogue {
+    kNone,
+    /// The kernel table's GELU. Grad-free forwards only: the backward would
+    /// need the pre-activation, which the row loop overwrites.
+    kGelu,
+  };
+
   Linear(int64_t in_features, int64_t out_features, Rng* rng, bool bias = true);
 
-  ag::Variable Forward(const ag::Variable& x);
+  ag::Variable Forward(const ag::Variable& x, Epilogue epilogue = Epilogue::kNone);
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
   ag::Variable weight() { return weight_; }
+  /// Undefined when constructed with bias = false.
+  ag::Variable bias() { return bias_; }
 
   /// Frozen-serving override: while attached (borrowed; null detaches),
-  /// grad-free forwards run the reduced-precision GEMM kernels against
-  /// `qweight` instead of ag::MatMul against the fp32 parameter. Training
-  /// forwards (grad mode on) always use the fp32 weight, and the bias stays
-  /// fp32 in every mode. FrozenModel attaches these at freeze time.
+  /// grad-free forwards run the reduced-precision row-range GEMM kernel
+  /// against `qweight` instead of the fp32 one. Training forwards (grad mode
+  /// on) always use the fp32 weight, and the bias stays fp32 in every mode.
+  /// FrozenModel attaches these at freeze time.
   void SetQuantizedWeight(const QuantizedTensor* qweight);
   const QuantizedTensor* quantized_weight() const { return qweight_; }
 

@@ -5,14 +5,15 @@
 #include <functional>
 
 #include "linalg/kernels/kernels.h"
-#include "util/thread_pool.h"
+#include "util/execution_context.h"
 
 namespace rita {
 namespace ops {
 
 namespace {
 
-// Minimum elements per shard before a loop is worth parallelising.
+// Minimum elements per shard before a batch or softmax loop is worth
+// parallelising. Row loops use kRowParallelGrain instead.
 constexpr int64_t kParallelGrain = 1 << 14;
 
 template <typename F>
@@ -249,23 +250,32 @@ void AddInPlace(Tensor* y, const Tensor& x) {
 // GEMM
 // ---------------------------------------------------------------------------
 
+void ParallelRows(int64_t rows, int64_t macs_per_row,
+                  const std::function<void(int64_t, int64_t)>& body) {
+  if (rows <= 0) return;
+  const int64_t per_row = std::max<int64_t>(1, macs_per_row);
+  if (rows * per_row < kRowParallelGrain) {
+    body(0, rows);
+    return;
+  }
+  const int64_t min_shard = std::max<int64_t>(1, kRowParallelGrain / 4 / per_row);
+  ExecutionContext::Default()->ParallelFor(0, rows, body, min_shard);
+}
+
 // The per-row-range micro-kernels live in the dispatched kernel layer
 // (src/linalg/kernels/): the scalar backend is the historical GemmRows code
 // verbatim, the SIMD backend a register-tiled AVX2 kernel. This layer only
-// keeps the ThreadPool sharding policy.
+// keeps the sharding policy.
 void Gemm2D(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
             bool trans_a, bool trans_b, bool parallel) {
-  const int64_t flops_per_row = n * k;
-  if (!parallel || m * flops_per_row < kParallelGrain) {
-    kernels::GemmRowRange(a, b, c, m, n, k, trans_a, trans_b, 0, m);
+  auto body = [&](int64_t r0, int64_t r1) {
+    kernels::GemmRowRange(a, b, c, m, n, k, trans_a, trans_b, r0, r1);
+  };
+  if (!parallel) {
+    body(0, m);
     return;
   }
-  ThreadPool::Global()->ParallelFor(
-      0, m,
-      [&](int64_t r0, int64_t r1) {
-        kernels::GemmRowRange(a, b, c, m, n, k, trans_a, trans_b, r0, r1);
-      },
-      std::max<int64_t>(1, kParallelGrain / std::max<int64_t>(1, flops_per_row)));
+  ParallelRows(m, n * k, body);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
@@ -308,7 +318,7 @@ Tensor Bmm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
 
   const int64_t work_per_batch = m * n * ka;
   if (batch > 1 && work_per_batch >= kParallelGrain / 4) {
-    ThreadPool::Global()->ParallelFor(0, batch, [&](int64_t b0, int64_t b1) {
+    ExecutionContext::Default()->ParallelFor(0, batch, [&](int64_t b0, int64_t b1) {
       for (int64_t bi = b0; bi < b1; ++bi) {
         kernels::GemmRowRange(pa + bi * a_stride, pb + bi * b_stride, pc + bi * c_stride,
                               m, n, ka, trans_a, trans_b, 0, m);
@@ -420,8 +430,8 @@ Tensor SoftmaxLastDim(const Tensor& a) {
     kernels::FusedSoftmaxRows(pa + r0 * last, po + r0 * last, r1 - r0, last);
   };
   if (rows * last >= kParallelGrain) {
-    ThreadPool::Global()->ParallelFor(0, rows, body,
-                                      std::max<int64_t>(1, kParallelGrain / last));
+    ExecutionContext::Default()->ParallelFor(0, rows, body,
+                                             std::max<int64_t>(1, kParallelGrain / last));
   } else {
     body(0, rows);
   }

@@ -4,6 +4,7 @@
 #ifndef RITA_TENSOR_TENSOR_OPS_H_
 #define RITA_TENSOR_TENSOR_OPS_H_
 
+#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -60,6 +61,31 @@ void AddInPlace(Tensor* y, const Tensor& x);
 // ---------------------------------------------------------------------------
 // GEMM
 // ---------------------------------------------------------------------------
+
+/// Work, in multiply-adds, below which a row loop runs on the calling thread.
+/// Above it the rows shard across the pool, each shard carrying at least a
+/// quarter of it (2^18). Measured with the GEMM row-range kernel on a 4-vCPU
+/// AVX2 host (us, serial / 4 shards, median of 3 runs):
+///
+///   rows  simd 64->64  64->256     256->64     scalar 64->64 64->256      256->64
+///   41    6.6 / 22.2   27.5 / 35.4 28.0 / 30.1 24.3 / 33.0   86 / 70      162 / 60
+///   251   39.3 / 29.5  192 / 70    167 / 71    195 / 94      540 / 234    645 / 306
+///   626   96 / 48      429 / 155   414 / 158   357 / 194     1369 / 713   1587 / 777
+///   4016  613 / 180    2895 / 933  2879 / 810  2368 / 1136   9600 / 4071  11574 / 4869
+///   8032  1244 / 352   5897 / 1862 6013 / 1824 4829 / 2499   19022 / 8486 32147 / 10442
+///
+/// On the SIMD backend, which serves, sharding loses up to 672K
+/// multiply-adds (41 rows) and wins from 2.56M (626 x 64 x 64); 1.03M
+/// (251 x 64 x 64) is the crossover.
+constexpr int64_t kRowParallelGrain = int64_t{1} << 20;
+
+/// Runs body(r0, r1) over [0, rows) in disjoint row ranges: on the calling
+/// thread when rows * macs_per_row < kRowParallelGrain, otherwise sharded
+/// through ExecutionContext::Default()->ParallelFor (so the caller's grad
+/// mode and trace id reach every shard). A body whose rows are independent
+/// gives the same bits at any pool width.
+void ParallelRows(int64_t rows, int64_t macs_per_row,
+                  const std::function<void(int64_t, int64_t)>& body);
 
 /// C = op(A) * op(B) for row-major 2-D buffers; op is optional transpose.
 /// Overwrites C. m/n are the dims of C; k the contraction length.

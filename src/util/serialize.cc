@@ -47,7 +47,16 @@ Result<BinaryReader> BinaryReader::Open(const std::string& path) {
   if (!in.is_open()) {
     return Status::IoError("cannot open for read: " + path);
   }
-  return BinaryReader(std::move(in));
+  in.seekg(0, std::ios::end);
+  const int64_t size = static_cast<int64_t>(in.tellg());
+  in.seekg(0, std::ios::beg);
+  if (size < 0 || !in.good()) return Status::IoError("cannot size: " + path);
+  return BinaryReader(std::move(in), size);
+}
+
+int64_t BinaryReader::Remaining() {
+  const int64_t pos = static_cast<int64_t>(in_.tellg());
+  return pos < 0 ? 0 : size_ - pos;
 }
 
 Status BinaryReader::ReadRaw(void* dst, int64_t bytes) {
@@ -65,7 +74,9 @@ Status BinaryReader::ReadF64(double* v) { return ReadRaw(v, sizeof(*v)); }
 Status BinaryReader::ReadString(std::string* s) {
   uint64_t len = 0;
   RITA_RETURN_NOT_OK(ReadU64(&len));
-  if (len > (1ULL << 32)) return Status::IoError("corrupt string length");
+  if (len > static_cast<uint64_t>(Remaining())) {
+    return Status::IoError("corrupt string length");
+  }
   s->resize(len);
   return ReadRaw(s->data(), static_cast<int64_t>(len));
 }
@@ -78,6 +89,21 @@ Status BinaryReader::ReadFloats(float* data, int64_t count) {
                            " got " + std::to_string(stored));
   }
   return ReadRaw(data, count * static_cast<int64_t>(sizeof(float)));
+}
+
+Status BinaryReader::SkipFloats(int64_t count) {
+  int64_t stored = 0;
+  RITA_RETURN_NOT_OK(ReadI64(&stored));
+  if (stored != count) {
+    return Status::IoError("float buffer count mismatch: expected " + std::to_string(count) +
+                           " got " + std::to_string(stored));
+  }
+  const int64_t remaining = Remaining();
+  if (count < 0 || count > remaining / static_cast<int64_t>(sizeof(float))) {
+    return Status::IoError("short read");
+  }
+  in_.seekg(count * static_cast<int64_t>(sizeof(float)), std::ios::cur);
+  return Status::OK();
 }
 
 bool BinaryReader::AtEof() {

@@ -45,15 +45,21 @@ class BinaryReader {
   Status ReadI64(int64_t* v);
   Status ReadF32(float* v);
   Status ReadF64(double* v);
+  /// Fails without allocating when the stored length exceeds the bytes left.
   Status ReadString(std::string* s);
   Status ReadFloats(float* data, int64_t count);
+  /// Consumes a WriteFloats record of `count` floats without storing it.
+  Status SkipFloats(int64_t count);
 
   bool AtEof();
 
  private:
-  explicit BinaryReader(std::ifstream in) : in_(std::move(in)) {}
+  BinaryReader(std::ifstream in, int64_t size) : in_(std::move(in)), size_(size) {}
   Status ReadRaw(void* dst, int64_t bytes);
+  // Bytes between the read position and the end of the file.
+  int64_t Remaining();
   std::ifstream in_;
+  int64_t size_;
 };
 
 }  // namespace rita

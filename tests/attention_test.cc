@@ -1,11 +1,14 @@
 // Tests for the baseline attention mechanisms and the multi-head wrapper.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "attention/multi_head.h"
 #include "autograd/gradcheck.h"
 #include "core/attention_factory.h"
+#include "linalg/kernels/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace rita {
@@ -182,6 +185,59 @@ TEST(MultiHeadTest, HeadCountMustDivideDim) {
   opts.kind = AttentionKind::kVanilla;
   auto mech = core::CreateAttentionMechanism(5, opts, &rng);
   EXPECT_DEATH(MultiHeadAttention(16, 3, std::move(mech), &rng), "divisible");
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
+// The head split/merge as the Reshape -> Permute -> Reshape chain did it.
+ag::Variable PermuteSplit(const ag::Variable& y, int64_t b, int64_t n, int64_t heads) {
+  const int64_t dh = y.size(2) / heads;
+  ag::Variable r = ag::Permute(ag::Reshape(y, {b, n, heads, dh}), {0, 2, 1, 3});
+  return ag::Reshape(r, {b * heads, n, dh});
+}
+ag::Variable PermuteMerge(const ag::Variable& o, int64_t b, int64_t n, int64_t heads) {
+  const int64_t dh = o.size(2);
+  ag::Variable r = ag::Permute(ag::Reshape(o, {b, heads, n, dh}), {0, 2, 1, 3});
+  return ag::Reshape(r, {b, n, heads * dh});
+}
+
+TEST(MultiHeadTest, HeadSplitAndMergeMatchThePermuteChainInBothGradModes) {
+  const kernels::Backend initial = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) backends.push_back(kernels::Backend::kSimd);
+  for (kernels::Backend backend : backends) {
+    kernels::SetBackendForTesting(backend);
+    for (auto [b, n, dim, heads] : std::vector<std::array<int64_t, 4>>{
+             {1, 41, 64, 2}, {16, 251, 64, 2}, {3, 5, 24, 4}}) {
+      Rng rng(14);
+      core::AttentionOptions opts;
+      opts.kind = AttentionKind::kVanilla;
+      MultiHeadAttention mha(dim, heads,
+                             core::CreateAttentionMechanism(dim / heads, opts, &rng),
+                             &rng);
+      const Tensor x = Tensor::RandNormal({b, n, dim}, &rng);
+      const Tensor o = Tensor::RandNormal({b * heads, n, dim / heads}, &rng);
+      const std::string what =
+          std::string(kernels::BackendName(backend)) + " b " + std::to_string(b);
+      for (int which = 0; which < 3; ++which) {
+        const Tensor want =
+            PermuteSplit(mha.projection(which)->Forward(ag::Variable(x)), b, n, heads).data();
+        EXPECT_TRUE(BitEqual(mha.ProjectHeads(which, ag::Variable(x, true)).data(), want))
+            << what;
+        ag::NoGradGuard guard;
+        EXPECT_TRUE(BitEqual(mha.ProjectHeads(which, ag::Variable(x)).data(), want)) << what;
+      }
+      const Tensor want =
+          mha.projection(3)->Forward(PermuteMerge(ag::Variable(o), b, n, heads)).data();
+      EXPECT_TRUE(BitEqual(mha.MergeHeads(ag::Variable(o, true), b, n).data(), want)) << what;
+      ag::NoGradGuard guard;
+      EXPECT_TRUE(BitEqual(mha.MergeHeads(ag::Variable(o), b, n).data(), want)) << what;
+    }
+  }
+  kernels::SetBackendForTesting(initial);
 }
 
 TEST(FactoryTest, KindNamesAndCreation) {

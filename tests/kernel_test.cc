@@ -459,6 +459,54 @@ TEST_F(KernelBackendsTest, SimdTranscendentalUlpDrift) {
   }
 }
 
+// The SIMD maps run whole vectors through the 8-lane code and the remainder
+// through its scalar replica. Both must give the same bits for every value,
+// so a result never depends on where a value sits in the array (a GELU over
+// a whole tensor equals one applied row by row or shard by shard).
+TEST_F(KernelBackendsTest, SimdTranscendentalTailMatchesLane) {
+  Rng rng(2024);
+  std::vector<float> x;
+  x.reserve(1 << 20);
+  // N(0, 3^2) covers every branch of tanh/exp; 1M values.
+  for (int i = 0; i < (1 << 20) - 64; ++i) {
+    x.push_back(static_cast<float>(rng.Normal(0.0, 3.0)));
+  }
+  const float kMax = std::numeric_limits<float>::max();
+  const float kMin = std::numeric_limits<float>::min();
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  for (float v : {0.0f, 1e-30f, 1e-38f, kMin, kDenorm, 0.625f, 0.62499994f, 1.0f,
+                  9.0f, 20.0f, 80.0f, 87.3365478515625f, 88.3762626647950f, 89.0f,
+                  100.0f, 1e10f, kMax, kInf}) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  while (x.size() % 8 != 0) x.push_back(0.5f);
+  const int64_t n = static_cast<int64_t>(x.size());
+  struct Map {
+    const char* name;
+    void (*fn)(const float*, float*, int64_t);
+  };
+  for (const Map& map : {Map{"exp", simd().exp_array}, Map{"tanh", simd().tanh_array},
+                         Map{"sigmoid", simd().sigmoid_array},
+                         Map{"gelu", simd().gelu_array}}) {
+    std::vector<float> lane(n);
+    map.fn(x.data(), lane.data(), n);  // n % 8 == 0: every value in a lane
+    int64_t mismatches = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      float tail = 0.0f;
+      map.fn(&x[i], &tail, 1);  // a 1-element call is all tail
+      uint32_t a, b;
+      std::memcpy(&a, &lane[i], 4);
+      std::memcpy(&b, &tail, 4);
+      if (a != b && mismatches++ < 5) {
+        ADD_FAILURE() << map.name << "(" << x[i] << "): lane " << lane[i] << " tail "
+                      << tail;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << map.name;
+  }
+}
+
 // Each backend is a pure function: identical inputs give identical outputs
 // across repeated calls (no internal state, threading, or RNG).
 TEST_F(KernelBackendsTest, KernelsAreDeterministic) {

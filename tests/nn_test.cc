@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 
+#include "linalg/kernels/kernels.h"
 #include "nn/checkpoint.h"
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
+#include "tensor/quantized_tensor.h"
 #include "tensor/tensor_ops.h"
+#include "util/thread_pool.h"
 
 namespace rita {
 namespace nn {
@@ -244,6 +250,366 @@ TEST(CheckpointTest, PartialLoadSkipsUnknown) {
   EXPECT_TRUE(LoadCheckpoint(&partial, path, /*allow_partial=*/true).ok());
   EXPECT_TRUE(partial.inner_.weight().data().AllClose(full.inner_.weight().data()));
   std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------------------
+// Corrupt checkpoints: typed errors, never an abort or a huge allocation
+// --------------------------------------------------------------------------
+
+std::vector<char> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Byte offset of the first entry's ndim field: magic, version, count, then
+// the first name (u64 length + bytes).
+size_t FirstNdimOffset(const std::vector<char>& bytes) {
+  uint64_t name_len = 0;
+  std::memcpy(&name_len, bytes.data() + 16, 8);
+  return 24 + static_cast<size_t>(name_len);
+}
+
+template <typename T>
+void Poke(std::vector<char>* bytes, size_t offset, T value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+TEST(CheckpointTest, CorruptShapeFieldsAreInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "/ckpt_corrupt_shape.bin";
+  Rng rng(12);
+  ToyModule a(&rng);
+  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  const std::vector<char> good = ReadFile(path);
+  const size_t ndim_at = FirstNdimOffset(good);
+  uint64_t ndim = 0;
+  std::memcpy(&ndim, good.data() + ndim_at, 8);
+  ASSERT_GE(ndim, 1u);
+
+  struct Case {
+    const char* what;
+    std::vector<char> bytes;
+  };
+  std::vector<Case> cases;
+  for (uint64_t huge : {uint64_t{9}, uint64_t{1} << 32, uint64_t{1} << 61, ~uint64_t{0}}) {
+    Case c{"huge ndim", good};
+    Poke(&c.bytes, ndim_at, huge);
+    cases.push_back(std::move(c));
+  }
+  for (int64_t dim : {int64_t{-1}, int64_t{-(int64_t{1} << 40)}, INT64_MIN}) {
+    Case c{"negative dim", good};
+    Poke(&c.bytes, ndim_at + 8, dim);
+    cases.push_back(std::move(c));
+  }
+  if (ndim >= 2) {
+    Case c{"numel overflow", good};
+    Poke(&c.bytes, ndim_at + 8, int64_t{1} << 40);
+    Poke(&c.bytes, ndim_at + 16, int64_t{1} << 40);
+    cases.push_back(std::move(c));
+  }
+  for (const Case& c : cases) {
+    WriteFile(path, c.bytes);
+    ToyModule b(&rng);
+    for (bool partial : {false, true}) {
+      const Status st = LoadCheckpoint(&b, path, partial);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.what << ": " << st.ToString();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, FuzzedCheckpointsNeverAbort) {
+  // Fuzz in the style of the wire-framing gate: truncations, random bit
+  // flips, huge entry/float counts and negative dims. The property is "a
+  // typed status, never a crash, sanitizer report or huge allocation" (the
+  // suite runs under ASan/UBSan in CI). Loads go into modules with both the
+  // matching and a disjoint parameter set, so the skip path is fuzzed too.
+  const std::string path = ::testing::TempDir() + "/ckpt_fuzz.bin";
+  Rng rng(4242);
+  ToyModule source(&rng);
+  ASSERT_TRUE(SaveCheckpoint(source, path).ok());
+  const std::vector<char> good = ReadFile(path);
+
+  class Other : public Module {
+   public:
+    Other() { v_ = RegisterParameter("v", Tensor::Zeros({3})); }
+    ag::Variable v_;
+  };
+  auto load_all = [&](const std::vector<char>& bytes) {
+    WriteFile(path, bytes);
+    ToyModule toy(&rng);
+    Other other;
+    for (bool partial : {false, true}) {
+      (void)LoadCheckpoint(&toy, path, partial);
+      (void)LoadCheckpoint(&other, path, partial);
+    }
+  };
+
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    std::vector<char> bytes(good.begin(), good.begin() + cut);
+    WriteFile(path, bytes);
+    ToyModule toy(&rng);
+    EXPECT_FALSE(LoadCheckpoint(&toy, path).ok()) << "prefix of " << cut << " bytes";
+    load_all(bytes);
+  }
+  for (int iter = 0; iter < 400; ++iter) {
+    std::vector<char> bytes = good;
+    const int flips = 1 + static_cast<int>(rng.NextU64() % 4);
+    for (int f = 0; f < flips; ++f) {
+      const size_t bit = rng.NextU64() % (bytes.size() * 8);
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    }
+    load_all(bytes);
+  }
+  // Huge entry count, string length and float count fields.
+  const size_t ndim_at = FirstNdimOffset(good);
+  uint64_t ndim = 0;
+  std::memcpy(&ndim, good.data() + ndim_at, 8);
+  const size_t floats_at = ndim_at + 8 + 8 * static_cast<size_t>(ndim);
+  for (size_t offset : {size_t{8}, size_t{16}, floats_at}) {
+    for (uint64_t huge : {uint64_t{1} << 31, uint64_t{1} << 62, ~uint64_t{0}}) {
+      std::vector<char> bytes = good;
+      Poke(&bytes, offset, huge);
+      load_all(bytes);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------------------
+// Row-parallel Linear / FeedForward / LayerNorm: bitwise contracts
+// --------------------------------------------------------------------------
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
+std::vector<kernels::Backend> Backends() {
+  std::vector<kernels::Backend> out = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) out.push_back(kernels::Backend::kSimd);
+  return out;
+}
+
+class RowParallelTest : public ::testing::Test {
+ protected:
+  void TearDown() override { kernels::SetBackendForTesting(initial_); }
+  const kernels::Backend initial_ = kernels::ActiveBackend();
+};
+
+// A Linear with a non-zero bias, so the epilogue is exercised.
+void RandomizeBias(Module* m, Rng* rng) {
+  for (auto& [name, v] : m->NamedParameters()) {
+    if (name.size() >= 4 && name.compare(name.size() - 4, 4, "bias") == 0) {
+      v.mutable_data().CopyFrom(Tensor::RandNormal(v.shape(), rng));
+    }
+  }
+}
+
+// The forward as the Reshape -> ag::MatMul -> Reshape -> broadcast ag::Add
+// chain computed it before the row loop.
+ag::Variable ChainForward(Linear* lin, const ag::Variable& x) {
+  Shape out_shape = x.shape();
+  out_shape.back() = lin->out_features();
+  ag::Variable flat = ag::Reshape(x, {-1, lin->in_features()});
+  ag::Variable y = ag::Reshape(ag::MatMul(flat, lin->weight()), out_shape);
+  return ag::Add(y, lin->bias());
+}
+
+TEST_F(RowParallelTest, LinearFp32GradAndNoGradMatchTheMatMulChain) {
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    for (Shape in_shape : {Shape{41, 24}, Shape{3, 7, 24}, Shape{4016, 24}}) {
+      Rng rng(21);
+      Linear lin(24, 20, &rng);
+      RandomizeBias(&lin, &rng);
+      const Tensor x = Tensor::RandNormal(in_shape, &rng);
+      ag::Variable xv(x, true);
+      ag::Variable y_grad = lin.Forward(xv);
+      ag::Variable want = ChainForward(&lin, ag::Variable(x));
+      Tensor y_nograd;
+      {
+        ag::NoGradGuard guard;
+        y_nograd = lin.Forward(ag::Variable(x)).data();
+      }
+      const char* name = kernels::BackendName(backend);
+      EXPECT_TRUE(BitEqual(y_grad.data(), want.data())) << name << " " << ShapeToString(in_shape);
+      EXPECT_TRUE(BitEqual(y_nograd, want.data())) << name << " " << ShapeToString(in_shape);
+    }
+  }
+}
+
+TEST_F(RowParallelTest, LinearBackwardMatchesTheMatMulChain) {
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    for (Shape in_shape : {Shape{41, 24}, Shape{3, 7, 24}}) {
+      Rng rng(22);
+      Linear lin(24, 20, &rng);
+      RandomizeBias(&lin, &rng);
+      const Tensor x = Tensor::RandNormal(in_shape, &rng);
+      Shape out_shape = in_shape;
+      out_shape.back() = 20;
+      const Tensor g = Tensor::RandNormal(out_shape, &rng);
+
+      ag::Variable x1(x, true);
+      lin.ZeroGrad();
+      ag::SumAll(ag::Mul(lin.Forward(x1), ag::Variable(g))).Backward();
+      const Tensor dw1 = lin.weight().grad().Clone();
+      const Tensor db1 = lin.bias().grad().Clone();
+
+      ag::Variable x2(x, true);
+      lin.ZeroGrad();
+      ag::SumAll(ag::Mul(ChainForward(&lin, x2), ag::Variable(g))).Backward();
+      const char* name = kernels::BackendName(backend);
+      EXPECT_TRUE(BitEqual(x1.grad(), x2.grad())) << name;
+      EXPECT_TRUE(BitEqual(dw1, lin.weight().grad())) << name;
+      EXPECT_TRUE(BitEqual(db1, lin.bias().grad())) << name;
+    }
+  }
+}
+
+TEST_F(RowParallelTest, QuantizedLinearMatchesWholeMatrixKernelPlusBias) {
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    for (Precision precision : {Precision::kInt8, Precision::kBf16}) {
+      for (Shape in_shape : {Shape{41, 24}, Shape{2, 9, 24}, Shape{4016, 24}}) {
+        Rng rng(23);
+        Linear lin(24, 20, &rng);
+        RandomizeBias(&lin, &rng);
+        const Tensor w = lin.weight().data();
+        const QuantizedTensor q = precision == Precision::kInt8
+                                      ? QuantizedTensor::QuantizeInt8(w)
+                                      : QuantizedTensor::QuantizeBf16(w);
+        lin.SetQuantizedWeight(&q);
+        const Tensor x = Tensor::RandNormal(in_shape, &rng);
+        const int64_t rows = x.numel() / 24;
+        Shape out_shape = in_shape;
+        out_shape.back() = 20;
+        Tensor want(out_shape);
+        const kernels::KernelTable& kt = kernels::Active();
+        if (precision == Precision::kInt8) {
+          kt.gemm_i8(x.data(), q.int8_data(), q.scales(), q.col_sums(), want.data(), rows,
+                     20, 24, 0, rows);
+        } else {
+          kt.gemm_bf16(x.data(), q.bf16_data(), want.data(), rows, 20, 24, 0, rows);
+        }
+        want = ops::Add(want, lin.bias().data());
+        const std::string what = std::string(kernels::BackendName(backend)) + " " +
+                                 PrecisionName(precision) + " " + ShapeToString(in_shape);
+        // Training forwards ignore the attached weight.
+        EXPECT_TRUE(BitEqual(lin.Forward(ag::Variable(x, true)).data(),
+                             ChainForward(&lin, ag::Variable(x)).data()))
+            << what;
+        ag::NoGradGuard guard;
+        EXPECT_TRUE(BitEqual(lin.Forward(ag::Variable(x)).data(), want)) << what;
+      }
+    }
+  }
+}
+
+TEST_F(RowParallelTest, FeedForwardGeluEpilogueMatchesGradModeForward) {
+  // Hidden widths that are not multiples of the 8-lane vector put row and
+  // shard boundaries at every lane offset of the SIMD GELU.
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    for (int64_t hidden : {20, 37, 256}) {
+      for (int64_t rows : {41, 4017}) {
+        Rng rng(24);
+        FeedForward ffn(24, hidden, /*dropout=*/0.0f, &rng);
+        RandomizeBias(&ffn, &rng);
+        const Tensor x = Tensor::RandNormal({rows, 24}, &rng);
+        const Tensor y_grad = ffn.Forward(ag::Variable(x, true)).data();
+        ag::NoGradGuard guard;
+        EXPECT_TRUE(BitEqual(ffn.Forward(ag::Variable(x)).data(), y_grad))
+            << kernels::BackendName(backend) << " hidden " << hidden << " rows " << rows;
+      }
+    }
+  }
+}
+
+TEST_F(RowParallelTest, LayerNormGradAndNoGradForwardsAreBitwiseEqual) {
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    for (Shape shape : {Shape{41, 64}, Shape{16, 251, 64}, Shape{5, 20}}) {
+      Rng rng(25);
+      LayerNorm ln(shape.back());
+      RandomizeBias(&ln, &rng);
+      for (auto& [name, v] : ln.NamedParameters()) {
+        if (name == "gamma") v.mutable_data().CopyFrom(Tensor::RandNormal(v.shape(), &rng));
+      }
+      const Tensor x = Tensor::RandNormal(shape, &rng, 0.5f, 2.0f);
+      const Tensor y_grad = ln.Forward(ag::Variable(x, true)).data();
+      ag::NoGradGuard guard;
+      EXPECT_TRUE(BitEqual(ln.Forward(ag::Variable(x)).data(), y_grad))
+          << kernels::BackendName(backend) << " " << ShapeToString(shape);
+    }
+  }
+}
+
+// Runs `forward` over row ranges of `x` [rows, d] as a pool of `width`
+// shards them, each range as its own call, and stitches the outputs.
+template <typename Forward>
+Tensor ForwardInShards(const Tensor& x, int64_t out_cols, int width, Forward forward) {
+  const int64_t rows = x.size(0);
+  Tensor out({rows, out_cols});
+  ThreadPool pool(width);
+  pool.ParallelFor(0, rows, [&](int64_t r0, int64_t r1) {
+    const Tensor y = forward(ops::Slice(x, 0, r0, r1 - r0));
+    std::copy(y.data(), y.data() + y.numel(), out.data() + r0 * out_cols);
+  });
+  return out;
+}
+
+TEST_F(RowParallelTest, RowLoopsArePinnedAcrossPoolWidths) {
+  // Width 1 is one call over every row: for Linear, the serial row-range
+  // kernel plus a per-row bias add. Wider pools split the rows into
+  // independent calls; every width must reproduce width 1 bit for bit.
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    const kernels::KernelTable& kt = kernels::Active();
+    for (int64_t rows : {41, 4016}) {
+      Rng rng(26);
+      Linear lin(64, 37, &rng);
+      RandomizeBias(&lin, &rng);
+      FeedForward ffn(64, 37, 0.0f, &rng);
+      RandomizeBias(&ffn, &rng);
+      LayerNorm ln(64);
+      RandomizeBias(&ln, &rng);
+      const Tensor x = Tensor::RandNormal({rows, 64}, &rng);
+      ag::NoGradGuard guard;
+
+      Tensor serial({rows, 37});
+      kt.gemm(x.data(), lin.weight().data().data(), serial.data(), rows, 37, 64, false,
+              false, 0, rows);
+      const float* bias = lin.bias().data().data();
+      for (int64_t r = 0; r < rows; ++r) kt.add(serial.data() + r * 37, bias, 37);
+
+      auto run_linear = [&](const Tensor& part) { return lin.Forward(ag::Variable(part)).data(); };
+      auto run_ffn = [&](const Tensor& part) { return ffn.Forward(ag::Variable(part)).data(); };
+      auto run_ln = [&](const Tensor& part) { return ln.Forward(ag::Variable(part)).data(); };
+      const Tensor ffn_1 = ForwardInShards(x, 64, 1, run_ffn);
+      const Tensor ln_1 = ForwardInShards(x, 64, 1, run_ln);
+      EXPECT_TRUE(BitEqual(ForwardInShards(x, 37, 1, run_linear), serial));
+      for (int width : {2, 4, 8}) {
+        const std::string what = std::string(kernels::BackendName(backend)) + " rows " +
+                                 std::to_string(rows) + " width " + std::to_string(width);
+        EXPECT_TRUE(BitEqual(ForwardInShards(x, 37, width, run_linear), serial)) << what;
+        EXPECT_TRUE(BitEqual(ForwardInShards(x, 64, width, run_ffn), ffn_1)) << what;
+        EXPECT_TRUE(BitEqual(ForwardInShards(x, 64, width, run_ln), ln_1)) << what;
+      }
+    }
+  }
+}
+
+TEST(LinearTest, GeluEpilogueNeedsGradModeOff) {
+  Rng rng(27);
+  Linear lin(4, 3, &rng);
+  ag::Variable x(Tensor::RandNormal({2, 4}, &rng));
+  EXPECT_DEATH(lin.Forward(x, Linear::Epilogue::kGelu), "pre-activation");
 }
 
 }  // namespace
