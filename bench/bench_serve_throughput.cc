@@ -1,10 +1,9 @@
-// Serving benchmarks for the layered engine, five parts:
+// Serving benchmarks for the layered engine: the ratio floors nothing else
+// measures. Engine throughput, latency and cache behaviour under load are the
+// latency ledger's job (bench/ledger/); cache-hit bit-identity is asserted by
+// serve_sched_test. Three parts:
 //
-// 1. Throughput sweep (unchanged shape): requests/sec through the engine as
-//    a function of (client threads) x (micro-batch cap). One frozen group-
-//    attention RITA model is shared by every configuration.
-//
-// 2. Priority mix: the motivation scenario — a bulk re-scoring backlog is
+// 1. Priority mix: the motivation scenario — a bulk re-scoring backlog is
 //    draining when latency-critical interactive requests arrive (70/30
 //    bulk/interactive offered load, identical in both modes). "fifo" labels
 //    everything kBatch (uniform class = the pre-layering FIFO engine);
@@ -12,13 +11,7 @@
 //    overtake. Reports the p50 interactive queue latency of both modes and
 //    the speedup; the layered scheduler must win by >= 5x.
 //
-// 3. Result cache: a repeated-request workload (16 distinct series x 16
-//    passes) served twice — cold (cache off) and cached. Reports the hit
-//    ratio (expected 15/16 = 0.9375) and hard-fails (RITA_CHECK, non-zero
-//    exit => CI gate) if any cached replay is not bit-identical to the cold
-//    output.
-//
-// 4. Adaptive planner sweep: the same workload behind (a) the analytic
+// 2. Adaptive planner sweep: the same workload behind (a) the analytic
 //    batch planner on a deliberately tight simulated device — its
 //    training-accounted plan caps micro-batches conservatively — and (b) the
 //    telemetry-driven AdaptivePlanner seeded from that same analytic
@@ -31,7 +24,7 @@
 //    (the plan gates are deterministic; the throughput gate is loose
 //    because quick-scale timing on shared runners is noisy).
 //
-// 5. Observability overhead: the full workload with the metrics registry on
+// 3. Observability overhead: the full workload with the metrics registry on
 //    (it always is) and tracing off, versus 1-in-8 sampled tracing. Emits
 //    BENCH_obs.json next to the --json document with the overhead ratio and
 //    hard-fails (RITA_CHECK, non-zero exit => CI gate) if the Prometheus
@@ -42,7 +35,6 @@
 // stats() mid-burst to report instantaneous queue depth / in-flight batches
 // (the snapshot is taken under the queue mutex, so it is consistent).
 #include <algorithm>
-#include <cstring>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -54,7 +46,6 @@
 #include "serve/adaptive_planner.h"
 #include "serve/inference_engine.h"
 #include "serve/telemetry.h"
-#include "util/csv.h"
 #include "util/stopwatch.h"
 
 namespace rita {
@@ -67,92 +58,10 @@ struct Workload {
   std::vector<Tensor> requests;  // [T, C] each
 };
 
-struct CellResult {
-  double seconds = 0.0;
-  double requests_per_sec = 0.0;
-  double avg_batch = 0.0;
-  double avg_queue_ms = 0.0;
-};
-
 double Percentile50(std::vector<double> values) {
   RITA_CHECK(!values.empty());
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
-}
-
-CellResult RunCell(const Workload& workload, int clients, int64_t max_micro_batch) {
-  serve::InferenceEngineOptions options;
-  options.num_workers = 2;
-  options.max_micro_batch = max_micro_batch;
-  options.context = workload.context;
-  options.cache_bytes = 0;  // throughput of the compute path, not the cache
-  serve::InferenceEngine engine(workload.frozen, options);
-
-  const int64_t total = static_cast<int64_t>(workload.requests.size());
-  std::vector<std::future<serve::InferenceResponse>> futures(total);
-  Stopwatch watch;
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      for (int64_t i = c; i < total; i += clients) {
-        serve::InferenceRequest request;
-        request.series = workload.requests[i];
-        request.task = serve::ServeTask::kClassify;
-        futures[i] = engine.Submit(std::move(request));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& f : futures) {
-    RITA_CHECK(f.get().status.ok());
-  }
-
-  CellResult result;
-  result.seconds = watch.ElapsedSeconds();
-  result.requests_per_sec = static_cast<double>(total) / result.seconds;
-  const serve::InferenceEngineStats stats = engine.stats();
-  result.avg_batch = stats.AvgBatchSize();
-  result.avg_queue_ms = stats.AvgQueueMs();
-  return result;
-}
-
-void RunThroughputSweep(const Workload& workload, int64_t num_requests,
-                        const BenchScale& scale, BenchJsonWriter* json) {
-  const std::vector<int> client_sweep = {1, 2, 4, 8};
-  const std::vector<int64_t> cap_sweep = {1, 8, 32};
-
-  auto csv_open = CsvWriter::Open("bench_serve_throughput.csv");
-  RITA_CHECK(csv_open.ok());
-  CsvWriter csv = csv_open.MoveValueOrDie();
-  csv.WriteRow({"clients", "batch_cap", "requests", "seconds", "requests_per_sec",
-                "avg_micro_batch", "avg_queue_ms"});
-
-  // Unmeasured warmup pass: first-touch pool/arena/model allocations land
-  // here instead of inflating the first measured cell (the no-batching
-  // baseline every other cell is compared against).
-  RunCell(workload, 2, 8);
-
-  std::printf("%8s %10s %12s %10s %12s %14s\n", "clients", "batch-cap", "req/s",
-              "seconds", "avg-batch", "avg-queue-ms");
-  PrintRule(72);
-  for (int64_t cap : cap_sweep) {
-    for (int clients : client_sweep) {
-      const CellResult result = RunCell(workload, clients, cap);
-      std::printf("%8d %10lld %12.1f %10.3f %12.2f %14.3f\n", clients,
-                  static_cast<long long>(cap), result.requests_per_sec,
-                  result.seconds, result.avg_batch, result.avg_queue_ms);
-      csv.WriteValues(clients, cap, num_requests, result.seconds,
-                      result.requests_per_sec, result.avg_batch,
-                      result.avg_queue_ms);
-      const std::string name = "clients" + std::to_string(clients) + "/cap" +
-                               std::to_string(cap) + "/requests_per_sec";
-      json->Add(name, result.requests_per_sec, "req/s");
-    }
-    std::printf("\n");
-  }
-  RITA_CHECK(csv.Close().ok());
-  (void)scale;
 }
 
 /// One priority-mix mode: preload `bulk` requests as kBatch behind a paused
@@ -228,88 +137,6 @@ void RunPriorityMix(const Workload& workload, const BenchScale& scale,
   json->Add("priority_mix/p50_interactive_queue_ms/fifo", fifo_p50, "ms");
   json->Add("priority_mix/p50_interactive_queue_ms/priority", prio_p50, "ms");
   json->Add("priority_mix/p50_speedup", speedup, "x");
-}
-
-void RunCacheSweep(const Workload& workload, const BenchScale& scale,
-                   BenchJsonWriter* json) {
-  const int64_t distinct = scale.quick ? 8 : 16;
-  // Two warm passes (admission is on second sighting), then passes-1
-  // replays: hit ratio (passes-1)/(passes+1) = 0.88.
-  const int64_t passes = 16;
-  RITA_CHECK_LE(distinct, static_cast<int64_t>(workload.requests.size()));
-
-  std::printf("=== Result cache: %lld distinct series x %lld passes ===\n",
-              static_cast<long long>(distinct), static_cast<long long>(passes));
-
-  // Cold pass, cache disabled: the reference outputs.
-  std::vector<Tensor> cold(distinct);
-  {
-    serve::InferenceEngineOptions options;
-    options.num_workers = 2;
-    options.context = workload.context;
-    options.cache_bytes = 0;
-    serve::InferenceEngine engine(workload.frozen, options);
-    for (int64_t i = 0; i < distinct; ++i) {
-      serve::InferenceRequest request;
-      request.series = workload.requests[i];
-      serve::InferenceResponse response = engine.Run(std::move(request));
-      RITA_CHECK(response.status.ok());
-      cold[i] = response.output;
-    }
-  }
-
-  serve::InferenceEngineOptions options;
-  options.num_workers = 2;
-  options.context = workload.context;  // cache on (default budget)
-  serve::InferenceEngine engine(workload.frozen, options);
-
-  // Two sequential warm passes (every distinct series misses twice; the
-  // second sighting inserts), then passes-1 replays from 4 client threads.
-  for (int warm = 0; warm < 2; ++warm) {
-    for (int64_t i = 0; i < distinct; ++i) {
-      serve::InferenceRequest request;
-      request.series = workload.requests[i];
-      serve::InferenceResponse response = engine.Run(std::move(request));
-      RITA_CHECK(response.status.ok());
-    }
-  }
-  const int64_t replays = distinct * (passes - 1);
-  std::vector<std::future<serve::InferenceResponse>> futures(replays);
-  Stopwatch watch;
-  std::vector<std::thread> threads;
-  constexpr int kClients = 4;
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      for (int64_t i = c; i < replays; i += kClients) {
-        serve::InferenceRequest request;
-        request.series = workload.requests[i % distinct];
-        futures[i] = engine.Submit(std::move(request));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // CI gate: a cached replay that is not bit-identical to the cold compute
-  // is a correctness bug — abort (non-zero exit) so the smoke run fails.
-  for (int64_t i = 0; i < replays; ++i) {
-    serve::InferenceResponse response = futures[i].get();
-    RITA_CHECK(response.status.ok());
-    const Tensor& want = cold[i % distinct];
-    RITA_CHECK_EQ(response.output.numel(), want.numel());
-    RITA_CHECK(std::memcmp(response.output.data(), want.data(),
-                           sizeof(float) * want.numel()) == 0)
-        << "cache-hit replay diverged from the cold compute (request " << i << ")";
-  }
-  const double replay_seconds = watch.ElapsedSeconds();
-
-  const serve::InferenceEngineStats stats = engine.stats();
-  const double hit_ratio = stats.CacheHitRatio();
-  std::printf("%-34s %12.4f\n", "hit ratio", hit_ratio);
-  std::printf("%-34s %12.1f\n", "replayed req/s", replays / replay_seconds);
-  std::printf("%-34s %12s\n\n", "replay vs cold", "bit-identical");
-  json->Add("cache/hit_ratio", hit_ratio, "ratio");
-  json->Add("cache/replay_requests_per_sec", replays / replay_seconds, "req/s");
-  json->Add("cache/replay_bit_identical", 1.0, "bool");
 }
 
 /// One pass of the workload through `engine` from `clients` threads;
@@ -435,7 +262,7 @@ void RunAdaptiveSweep(const Workload& workload, const BenchScale& scale,
   json->Add("adaptive/plan_within_ceiling", 1.0, "bool");
 }
 
-/// Part 5: cost of the observability layer on the hot path. The metrics
+/// Part 3: cost of the observability layer on the hot path. The metrics
 /// registry has no off switch (lock-free counters are the EngineStats
 /// backing store), so the measured split is tracing off — the recommended
 /// production default — against 1-in-8 sampled tracing. Best-of-N passes on
@@ -553,7 +380,7 @@ std::string ObsJsonPath(const std::string& json_path) {
 }
 
 void Run(const BenchScale& scale) {
-  std::printf("=== Serving: throughput, priority mix, result cache ===\n\n");
+  std::printf("=== Serving: priority mix, adaptive planner, observability ===\n\n");
 
   model::RitaConfig config;
   config.input_channels = 3;
@@ -585,14 +412,11 @@ void Run(const BenchScale& scale) {
   }
 
   BenchJsonWriter json("serve_throughput");
-  RunThroughputSweep(workload, num_requests, scale, &json);
   RunPriorityMix(workload, scale, &json);
-  RunCacheSweep(workload, scale, &json);
   RunAdaptiveSweep(workload, scale, &json);
   RunObsOverhead(workload, scale, ObsJsonPath(scale.json_path));
 
   RITA_CHECK(json.WriteTo(scale.json_path)) << "failed to write " << scale.json_path;
-  std::printf("series written to bench_serve_throughput.csv\n");
 }
 
 }  // namespace

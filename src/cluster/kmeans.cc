@@ -155,9 +155,7 @@ KMeansResult RunKMeans(const Tensor& points, const KMeansOptions& options, Rng* 
 
   auto assign = [&](const Tensor& cents) -> double {
     const Tensor dist =
-        options.matmul_distance
-            ? PairwiseSqDistMatmul(points, cents, context, options.parallel)
-            : PairwiseSqDistNaive(points, cents);
+        PairwiseSqDistMatmul(points, cents, context, options.parallel);
     const int64_t m = cents.size(0);
     const float* pd = dist.data();
     // Per-point argmin: every iteration writes its own slot, so sharding is

@@ -26,9 +26,6 @@ struct KMeansOptions {
   /// k-means++ seeding (better quality, costs an extra pass per cluster);
   /// plain random distinct points otherwise.
   bool kmeanspp_init = false;
-  /// Route distance computation through the matmul formulation (the paper's
-  /// GPU-friendly path). The naive pairwise path exists for tests/ablation.
-  bool matmul_distance = true;
   /// Shard the inner loops (distance GEMM, assignment, centroid update)
   /// across the execution context's pool. Callers that already parallelize
   /// at a coarser grain — group attention's per-(batch*head) slice loop —

@@ -174,29 +174,6 @@ attn::ForwardState FrozenModel::MakeState(ExecutionContext* context) const {
   return state;
 }
 
-Tensor FrozenModel::Encode(const Tensor& batch, ExecutionContext* context) const {
-  ag::NoGradGuard guard;
-  attn::ForwardState state = MakeState(context);
-  return model_->Encode(batch, &state).data();
-}
-
-Tensor FrozenModel::ClassLogits(const Tensor& batch, ExecutionContext* context) const {
-  ag::NoGradGuard guard;
-  attn::ForwardState state = MakeState(context);
-  return model_->ClassLogits(batch, &state).data();
-}
-
-Tensor FrozenModel::Embed(const Tensor& batch, ExecutionContext* context) const {
-  attn::ForwardState state = MakeState(context);
-  return model_->Embed(batch, &state);  // Embed installs its own NoGradGuard
-}
-
-Tensor FrozenModel::Reconstruct(const Tensor& batch, ExecutionContext* context) const {
-  ag::NoGradGuard guard;
-  attn::ForwardState state = MakeState(context);
-  return model_->Reconstruct(batch, &state).data();
-}
-
 namespace {
 
 /// Row 0 of an encoded [B, 1 + n_win, dim] tensor as [B, dim].
@@ -206,15 +183,15 @@ Tensor ClsRows(const Tensor& encoded) {
 
 }  // namespace
 
-Tensor FrozenModel::EncodeWithContext(const Tensor& batch, const Tensor* context,
-                                      ExecutionContext* exec) const {
+Tensor FrozenModel::Encode(const Tensor& batch, const Tensor* context,
+                           ExecutionContext* exec) const {
   ag::NoGradGuard guard;
   attn::ForwardState state = MakeState(exec);
   return model_->Encode(batch, &state, context).data();
 }
 
-Tensor FrozenModel::ClassLogitsWithContext(const Tensor& batch, const Tensor* context,
-                                           Tensor* cls, ExecutionContext* exec) const {
+Tensor FrozenModel::ClassLogits(const Tensor& batch, const Tensor* context,
+                                Tensor* cls, ExecutionContext* exec) const {
   ag::NoGradGuard guard;
   attn::ForwardState state = MakeState(exec);
   ag::Variable encoded = model_->Encode(batch, &state, context);
@@ -222,20 +199,20 @@ Tensor FrozenModel::ClassLogitsWithContext(const Tensor& batch, const Tensor* co
   return model_->ClassLogitsFromEncoded(encoded).data();
 }
 
-Tensor FrozenModel::ReconstructWithContext(const Tensor& batch, const Tensor* context,
-                                           Tensor* cls, ExecutionContext* exec) const {
+Tensor FrozenModel::Embed(const Tensor& batch, const Tensor* context,
+                          ExecutionContext* exec) const {
+  ag::NoGradGuard guard;
+  attn::ForwardState state = MakeState(exec);
+  return ClsRows(model_->Encode(batch, &state, context).data());
+}
+
+Tensor FrozenModel::Reconstruct(const Tensor& batch, const Tensor* context,
+                                Tensor* cls, ExecutionContext* exec) const {
   ag::NoGradGuard guard;
   attn::ForwardState state = MakeState(exec);
   ag::Variable encoded = model_->Encode(batch, &state, context);
   if (cls != nullptr) *cls = ClsRows(encoded.data());
   return model_->ReconstructFromEncoded(encoded, batch.size(1)).data();
-}
-
-Tensor FrozenModel::EmbedWithContext(const Tensor& batch, const Tensor* context,
-                                     ExecutionContext* exec) const {
-  ag::NoGradGuard guard;
-  attn::ForwardState state = MakeState(exec);
-  return ClsRows(model_->Encode(batch, &state, context).data());
 }
 
 }  // namespace serve

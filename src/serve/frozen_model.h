@@ -83,42 +83,31 @@ class FrozenModel {
   uint64_t Fingerprint() const { return fingerprint_; }
 
   // -- Thread-safe, deterministic, grad-free forwards ----------------------
-  // `batch` is [B, T, C] with window <= T <= input_length; `context` supplies
+  // `batch` is [B, T, C] with window <= T <= input_length; `exec` supplies
   // the execution resources (null = ExecutionContext::Default()).
-
-  /// Contextual embeddings [B, 1 + n_win, dim]; row 0 is [CLS].
-  Tensor Encode(const Tensor& batch, ExecutionContext* context = nullptr) const;
-  /// Class logits [B, num_classes].
-  Tensor ClassLogits(const Tensor& batch, ExecutionContext* context = nullptr) const;
-  /// Whole-series [CLS] embeddings [B, dim] (similarity search / clustering).
-  Tensor Embed(const Tensor& batch, ExecutionContext* context = nullptr) const;
-  /// Reconstruction [B, T, C] (imputation / forecasting on masked input).
-  Tensor Reconstruct(const Tensor& batch, ExecutionContext* context = nullptr) const;
-
-  // -- Context-conditioned forwards (windowed streaming) -------------------
+  //
   // `context` is null or a [B, dim] summary embedding per row — typically
-  // the previous window's [CLS], prepended by the model as a position-free
-  // token so the window attends to carried cross-window state. `cls`
-  // (optional out) receives this window's [CLS] embeddings [B, dim] from the
-  // SAME encoder forward, which a streaming session hands to the next
-  // window — no second encode ever runs. With context == nullptr the
-  // computed task output is bit-identical to the plain forwards above.
-  // Not supported on Linformer models: the extra token would exceed the
+  // the previous window's [CLS] in windowed streaming, prepended by the
+  // model as a position-free token so the window attends to carried
+  // cross-window state. `cls` (optional out) receives this window's [CLS]
+  // embeddings [B, dim] from the SAME encoder forward, which a streaming
+  // session hands to the next window — no second encode ever runs. Context
+  // is not supported on Linformer models: the extra token would exceed the
   // length projection's locked token count (the engine rejects it upstream).
-  // These are the forwards the serving engine runs for every micro-batch.
 
   /// Contextual embeddings [B, 1 + n_win, dim]; row 0 is [CLS].
-  Tensor EncodeWithContext(const Tensor& batch, const Tensor* context,
-                           ExecutionContext* exec = nullptr) const;
+  Tensor Encode(const Tensor& batch, const Tensor* context = nullptr,
+                ExecutionContext* exec = nullptr) const;
   /// Class logits [B, num_classes] (+ optional [CLS] out).
-  Tensor ClassLogitsWithContext(const Tensor& batch, const Tensor* context,
-                                Tensor* cls, ExecutionContext* exec = nullptr) const;
-  /// Reconstruction [B, T, C] (+ optional [CLS] out).
-  Tensor ReconstructWithContext(const Tensor& batch, const Tensor* context,
-                                Tensor* cls, ExecutionContext* exec = nullptr) const;
-  /// [CLS] embeddings [B, dim] under carried context.
-  Tensor EmbedWithContext(const Tensor& batch, const Tensor* context,
-                          ExecutionContext* exec = nullptr) const;
+  Tensor ClassLogits(const Tensor& batch, const Tensor* context = nullptr,
+                     Tensor* cls = nullptr, ExecutionContext* exec = nullptr) const;
+  /// Whole-series [CLS] embeddings [B, dim] (similarity search / clustering).
+  Tensor Embed(const Tensor& batch, const Tensor* context = nullptr,
+               ExecutionContext* exec = nullptr) const;
+  /// Reconstruction [B, T, C] (imputation / forecasting on masked input;
+  /// + optional [CLS] out).
+  Tensor Reconstruct(const Tensor& batch, const Tensor* context = nullptr,
+                     Tensor* cls = nullptr, ExecutionContext* exec = nullptr) const;
 
  private:
   attn::ForwardState MakeState(ExecutionContext* context) const;

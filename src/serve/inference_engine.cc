@@ -106,7 +106,6 @@ void InferenceEngine::Start() {
   if (options_.cache_bytes > 0) {
     ResultCache::Options cache_options;
     cache_options.byte_budget = options_.cache_bytes;
-    cache_options.num_shards = options_.cache_shards;
     cache_ = std::make_unique<ResultCache>(cache_options);
   }
   // Metrics: an engine-owned registry unless the caller supplied one. Every
@@ -468,18 +467,16 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
       if (options_.forward_fault_for_testing) options_.forward_fault_for_testing();
       switch (task) {
         case ServeTask::kClassify:
-          output = model->ClassLogitsWithContext(stacked, context_ptr,
-                                                 want_cls ? &cls : nullptr,
-                                                 options_.context);
+          output = model->ClassLogits(stacked, context_ptr,
+                                      want_cls ? &cls : nullptr, options_.context);
           break;
         case ServeTask::kEmbed:
-          output = model->EmbedWithContext(stacked, context_ptr, options_.context);
+          output = model->Embed(stacked, context_ptr, options_.context);
           if (want_cls) cls = output;  // the embedding IS the [CLS] row
           break;
         case ServeTask::kReconstruct:
-          output = model->ReconstructWithContext(stacked, context_ptr,
-                                                 want_cls ? &cls : nullptr,
-                                                 options_.context);
+          output = model->Reconstruct(stacked, context_ptr,
+                                      want_cls ? &cls : nullptr, options_.context);
           break;
       }
     } catch (const std::exception& e) {

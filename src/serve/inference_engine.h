@@ -61,10 +61,9 @@ struct InferenceEngineOptions {
   /// Queued kBatch requests older than this compete as interactive with an
   /// elapsed deadline — bulk traffic yields to bursts but is never starved.
   double bulk_aging_ms = 500.0;
-  /// Result-cache byte budget; 0 disables the cache entirely.
+  /// Result-cache byte budget; 0 disables the cache entirely. The cache
+  /// keeps ResultCache::Options' default shard count.
   int64_t cache_bytes = 32 << 20;
-  /// Result-cache shards (each its own mutex + LRU).
-  int cache_shards = 8;
   /// Optional calibrated planner; caps each micro-batch at
   /// PlanBatch(model, task, length, model.num_groups()) so coalescing can
   /// never exceed the memory budget the planner was calibrated for. Pass a

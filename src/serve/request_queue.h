@@ -70,7 +70,7 @@ struct InferenceRequest {
   int64_t model_id = 0;
   /// Optional context summary [dim] — typically the previous window's [CLS]
   /// from a streaming session, prepended by the model as a position-free
-  /// token (FrozenModel::*WithContext). Context-bearing requests coalesce
+  /// token (the `context` argument of the FrozenModel forwards). Context-bearing requests coalesce
   /// only with other context-bearing requests (the token changes the
   /// encoder's sequence length) and bypass the result cache.
   Tensor context;

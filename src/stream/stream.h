@@ -12,8 +12,8 @@
 //   WindowAssembler                             (ring buffer, hop-aligned
 //     |                                          windows, buffered-sample
 //     v                                          budget -> typed reject)
-//   InferenceEngine::Run  <- previous window's [CLS] carried as a
-//     |                      position-free context token (EncodeWithContext)
+//   InferenceEngine::Submit <- previous window's [CLS] carried as a
+//     |                        position-free context token (FrozenModel::Encode)
 //     v
 //   stitching: overlap-averaged timeline (reconstruct) or per-window
 //   logits/EWMA scores (classify / anomaly)
@@ -68,12 +68,16 @@ struct StreamOptions {
   /// still complete but count into StreamStats::late_windows (session side)
   /// and InferenceEngineStats::deadline_missed (engine side).
   double deadline_ms = 0.0;
-  /// Windows kept in flight through the engine at once. Depth 1 (default) is
-  /// the strictly sequential path; depths > 1 pipeline carry-free windows —
-  /// window k+1 submits while window k still computes, and the in-order
-  /// harvest keeps stitching (hence the stream's output bits) identical to
-  /// sequential execution. Requires carry_context == false: the [CLS] chain
-  /// forces sequential windows. Validated at StreamManager::Open.
+  /// Windows kept in flight through the engine at once. Every window, the
+  /// Close tail included, is submitted and then the oldest is harvested
+  /// while this many are in flight. Depth 1 (default) therefore resolves
+  /// each window before the next request is built: the strictly sequential
+  /// path. Depths > 1 pipeline carry-free windows — window k+1 submits while
+  /// window k still computes, at most depth - 1 windows stay pending between
+  /// calls (Close drains them), and the in-order harvest keeps stitching
+  /// (hence the stream's output bits) identical to sequential execution.
+  /// Requires carry_context == false: the [CLS] chain forces sequential
+  /// windows. Validated at StreamManager::Open.
   int64_t pipeline_depth = 1;
 };
 

@@ -82,56 +82,56 @@ Status StreamSession::Append(const Tensor& samples) {
 }
 
 Status StreamSession::ProcessReady(serve::ServeClock::time_point arrival) {
-  const int64_t depth = options_.pipeline_depth;
   while (assembler_.HasWindow()) {
-    if (depth <= 1) {
-      int64_t start = 0;
-      Tensor window = assembler_.PeekWindow(&start);
-      // Peek-then-advance: engine backpressure leaves the window buffered, so
-      // a retried (possibly empty) Append picks it up again — nothing is lost.
-      RITA_RETURN_NOT_OK(
-          RunWindow(std::move(window), start, options_.window_length, arrival));
-      assembler_.AdvanceWindow();
-      continue;
-    }
-    // Pipelined path (carry-free windows only): keep up to `depth` windows
-    // in flight and harvest strictly in submission order, so the stitch /
-    // EWMA state advances exactly as under sequential execution. In-flight
-    // windows persist across Append calls; Close drains them.
-    if (static_cast<int64_t>(inflight_.size()) >= depth) {
-      RITA_RETURN_NOT_OK(HarvestFront());
-    }
     int64_t start = 0;
     Tensor window = assembler_.PeekWindow(&start);
-    PendingWindow pending;
-    pending.series = window;  // shallow alias for anomaly scoring
-    pending.start = start;
-    pending.valid_length = options_.window_length;
-    pending.arrival = arrival;
-    pending.future =
-        engine_->Submit(BuildRequest(std::move(window), &pending.deadline));
-    // Admission verdicts resolve before Submit returns; peek at them now so
-    // a backpressure reject leaves the window buffered (peek-then-advance),
-    // exactly like the sequential path.
-    if (pending.future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      pending.response = pending.future.get();
-      pending.resolved = true;
-      if (!pending.response.status.ok()) {
-        if (pending.response.status.code() == StatusCode::kOutOfMemory) {
-          ++rejected_backpressure_;
-          // Drain older windows first (harvest order), then report the
-          // retryable reject with this window still buffered.
-          Status drained = DrainInflight();
-          return drained.ok() ? pending.response.status : drained;
-        }
-        failed_ = pending.response.status;
-        inflight_.clear();  // abandoned futures resolve with the engine
-        return failed_;
-      }
-    }
-    inflight_.push_back(std::move(pending));
+    // Peek-then-advance: engine backpressure leaves the window buffered, so
+    // a retried (possibly empty) Append picks it up again — nothing is lost.
+    RITA_RETURN_NOT_OK(
+        SubmitWindow(std::move(window), start, options_.window_length, arrival));
     assembler_.AdvanceWindow();
+  }
+  return Status::OK();
+}
+
+Status StreamSession::SubmitWindow(Tensor window, int64_t start,
+                                   int64_t valid_length,
+                                   serve::ServeClock::time_point arrival) {
+  PendingWindow pending;
+  pending.series = window;  // shallow alias for anomaly scoring
+  pending.start = start;
+  pending.valid_length = valid_length;
+  pending.arrival = arrival;
+  pending.future =
+      engine_->Submit(BuildRequest(std::move(window), &pending.deadline));
+  // Admission verdicts resolve before Submit returns; peek at them now so a
+  // backpressure reject leaves the window with the caller.
+  if (pending.future.wait_for(std::chrono::seconds(0)) ==
+      std::future_status::ready) {
+    pending.response = pending.future.get();
+    pending.resolved = true;
+    if (!pending.response.status.ok()) {
+      if (pending.response.status.code() == StatusCode::kOutOfMemory) {
+        // A transient overload must not kill the stream: drain older windows
+        // first (harvest order), then report the retryable reject with the
+        // context chain intact.
+        ++rejected_backpressure_;
+        Status drained = DrainInflight();
+        return drained.ok() ? pending.response.status : drained;
+      }
+      // Any other failure breaks the context chain; fail closed so no later
+      // window computes against a hole in the stream.
+      failed_ = pending.response.status;
+      inflight_.clear();  // abandoned futures resolve with the engine
+      return failed_;
+    }
+  }
+  // Harvest strictly in submission order, so the stitch / EWMA state and the
+  // [CLS] chain advance exactly as under sequential execution. At depth 1
+  // this resolves the window before the next request is built.
+  inflight_.push_back(std::move(pending));
+  while (static_cast<int64_t>(inflight_.size()) >= options_.pipeline_depth) {
+    RITA_RETURN_NOT_OK(HarvestFront());
   }
   return Status::OK();
 }
@@ -171,38 +171,34 @@ Status StreamSession::Close() {
     return failed_;
   }
   // Appends can leave complete windows behind only after an engine
-  // backpressure reject; run them (and then the ragged tail) now. The
-  // pipelined path additionally drains its in-flight windows so the tail
-  // flush below observes fully-sequential state.
-  Status drained = ProcessReady(arrival);
-  if (drained.ok()) drained = DrainInflight();
-  if (!drained.ok()) {
-    if (drained.code() == StatusCode::kOutOfMemory) return drained;  // retry
-    closed_ = true;
-    return drained;  // sticky: tail lost, fail closed
+  // backpressure reject; run them now, then the ragged tail as one more
+  // window, then drain everything still in flight.
+  Status flushed = ProcessReady(arrival);
+  if (flushed.ok()) {
+    // The ragged tail flushes as a final window: real samples first, then
+    // the last sample repeated up to the full window length, so the request
+    // stays in the session's length bucket (and satisfies Linformer's
+    // full-length lock). Peek-then-discard: on engine backpressure the tail
+    // stays buffered and Close() can be retried.
+    int64_t start = 0;
+    Tensor tail = assembler_.PeekTail(&start);
+    if (tail.defined() && tail.size(0) > 0) {
+      const int64_t m = tail.size(0);
+      Tensor padded({options_.window_length, channels_});
+      std::copy(tail.data(), tail.data() + m * channels_, padded.data());
+      const float* last_row = tail.data() + (m - 1) * channels_;
+      for (int64_t row = m; row < options_.window_length; ++row) {
+        std::copy(last_row, last_row + channels_, padded.data() + row * channels_);
+      }
+      flushed = SubmitWindow(std::move(padded), start, m, arrival);
+      if (flushed.ok()) assembler_.DiscardTail();
+    }
   }
-  // The ragged tail flushes as a final window: real samples first, then the
-  // last sample repeated up to the full window length, so the request stays
-  // in the session's length bucket (and satisfies Linformer's full-length
-  // lock). Peek-then-discard: on engine backpressure the tail stays
-  // buffered and Close() can be retried.
-  int64_t start = 0;
-  Tensor tail = assembler_.PeekTail(&start);
-  if (tail.defined() && tail.size(0) > 0) {
-    const int64_t m = tail.size(0);
-    Tensor padded({options_.window_length, channels_});
-    std::copy(tail.data(), tail.data() + m * channels_, padded.data());
-    const float* last_row = tail.data() + (m - 1) * channels_;
-    for (int64_t row = m; row < options_.window_length; ++row) {
-      std::copy(last_row, last_row + channels_, padded.data() + row * channels_);
-    }
-    Status flushed = RunWindow(std::move(padded), start, m, arrival);
-    if (!flushed.ok()) {
-      if (flushed.code() == StatusCode::kOutOfMemory) return flushed;  // retry
-      closed_ = true;
-      return flushed;  // sticky: tail lost, fail closed
-    }
-    assembler_.DiscardTail();
+  if (flushed.ok()) flushed = DrainInflight();
+  if (!flushed.ok()) {
+    if (flushed.code() == StatusCode::kOutOfMemory) return flushed;  // retry
+    closed_ = true;
+    return flushed;  // sticky: tail lost, fail closed
   }
   // Finalize every still-pending stitched row.
   if (!stitch_sum_.empty()) {
@@ -236,35 +232,12 @@ serve::InferenceRequest StreamSession::BuildRequest(
   return request;
 }
 
-Status StreamSession::RunWindow(Tensor window, int64_t start, int64_t valid_length,
-                                serve::ServeClock::time_point arrival) {
-  const Tensor series = window;  // shallow alias for anomaly scoring
-  serve::ServeClock::time_point deadline = serve::kNoDeadline;
-  serve::InferenceResponse response =
-      engine_->Run(BuildRequest(std::move(window), &deadline));
-  if (!response.status.ok()) {
-    if (response.status.code() == StatusCode::kOutOfMemory) {
-      // Engine admission backpressure: the window stays buffered (the caller
-      // retries the Append/Close) and the context chain is intact — a
-      // transient overload must not kill the stream.
-      ++rejected_backpressure_;
-      return response.status;
-    }
-    // Any other failure breaks the context chain; fail closed so no later
-    // window computes against a hole in the stream.
-    failed_ = response.status;
-    return failed_;
-  }
-  if (options_.carry_context) context_ = response.context;
-  return FinishWindow(std::move(response), series, start, valid_length, arrival,
-                      deadline);
-}
-
 Status StreamSession::FinishWindow(serve::InferenceResponse response,
                                    const Tensor& series, int64_t start,
                                    int64_t valid_length,
                                    serve::ServeClock::time_point arrival,
                                    serve::ServeClock::time_point deadline) {
+  if (options_.carry_context) context_ = response.context;
   StreamWindowResult result;
   result.window_index = windows_emitted_;
   result.start = start;

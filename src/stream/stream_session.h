@@ -97,10 +97,9 @@ class StreamSession {
   const StreamOptions& options() const { return options_; }
 
  private:
-  /// One submitted-but-unfinished window of the pipelined path
-  /// (pipeline_depth > 1). Finished strictly in submission order so the
-  /// stitch/EWMA state — hence the stream's output bits — matches sequential
-  /// execution.
+  /// One submitted-but-unfinished window. Finished strictly in submission
+  /// order so the stitch/EWMA state and the [CLS] chain — hence the
+  /// stream's output bits — match sequential execution.
   struct PendingWindow {
     std::future<serve::InferenceResponse> future;
     bool resolved = false;  // response already harvested (instant cache hit)
@@ -114,14 +113,17 @@ class StreamSession {
 
   /// Runs every complete buffered window; `arrival` stamps their latency.
   Status ProcessReady(serve::ServeClock::time_point arrival);
-  /// One window through the engine + stitching, synchronously. `valid_length`
-  /// < length only for the flushed tail.
-  Status RunWindow(Tensor window, int64_t start, int64_t valid_length,
-                   serve::ServeClock::time_point arrival);
+  /// Submits one window (`valid_length` < length only for the flushed
+  /// tail), then harvests the oldest while pipeline_depth windows are in
+  /// flight. A backpressure reject submits nothing: the caller keeps the
+  /// window buffered for the retry.
+  Status SubmitWindow(Tensor window, int64_t start, int64_t valid_length,
+                      serve::ServeClock::time_point arrival);
   /// The engine request for one window (consumes it).
   serve::InferenceRequest BuildRequest(Tensor window,
                                        serve::ServeClock::time_point* deadline);
-  /// Post-forward half of a window: scoring, stitching, result emission.
+  /// Post-forward half of a window: [CLS] carry, scoring, stitching, result
+  /// emission.
   Status FinishWindow(serve::InferenceResponse response, const Tensor& series,
                       int64_t start, int64_t valid_length,
                       serve::ServeClock::time_point arrival,
@@ -145,8 +147,8 @@ class StreamSession {
   Tensor context_;       // previous window's [CLS]; undefined before window 0
   std::atomic<bool> closed_{false};
   Status failed_;        // sticky first engine error (OK = healthy)
-  // Pipelined path: submitted windows awaiting their in-order harvest,
-  // bounded by options_.pipeline_depth. Always empty at depth 1.
+  // Submitted windows awaiting their in-order harvest; at most
+  // options_.pipeline_depth - 1 between calls, so always empty at depth 1.
   std::deque<PendingWindow> inflight_;
 
   // Per-window results pending TakeResults().

@@ -13,9 +13,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -802,6 +805,83 @@ TEST(RouterTest, ReplicaDeathYieldsTypedUnavailableAndSurvivorServes) {
   EXPECT_EQ(served, 32) << "survivor must keep serving every retried request\n"
                         << log;
   EXPECT_GT(unavailable, 0) << "shutdown never surfaced (dead code path?)";
+  EXPECT_EQ(router.num_live(), 1);
+  EXPECT_FALSE(router.replica_live(0));
+  EXPECT_TRUE(router.replica_live(1));
+}
+
+// The failover drill under load: four client threads share a 96-request
+// burst over two replicas, and whichever thread draws request 24 shuts
+// replica 0 down while the others have exchanges in flight. Every response
+// must be OK or a typed kUnavailable, and ONE retry must serve each
+// kUnavailable: IoLoop marks the replica dead before it resolves the failed
+// promise, so the retry can only route to the survivor.
+TEST(RouterTest, ShutdownMidBurstUnderConcurrentClientsIsTypedAndServed) {
+  model::RitaConfig config = SmallConfig();
+  Rng rng(89);
+  model::RitaModel source(config, &rng);
+  Replica r0 = MakeReplica(source);
+  Replica r1 = MakeReplica(source);
+  RouterOptions options;
+  options.connections_per_replica = 4;
+  Router router(options);
+  router.AddReplica("127.0.0.1", r0.server->port());
+  router.AddReplica("127.0.0.1", r1.server->port());
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_EQ(router.num_live(), 2);
+
+  constexpr int kBurst = 96;
+  constexpr int kClients = 4;
+  std::atomic<int> next{0};
+  std::atomic<int> served{0};
+  std::atomic<int> unavailable{0};
+  std::mutex log_mu;
+  std::vector<std::string> failures;  // anything but OK / one-retry OK
+  auto fail = [&](int i, const char* what, const Status& status) {
+    std::lock_guard<std::mutex> lock(log_mu);
+    failures.push_back("request " + std::to_string(i) + " " + what + ": " +
+                       status.ToString());
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (;;) {
+        const int i = next.fetch_add(1);
+        if (i >= kBurst) return;
+        if (i == kBurst / 4) r0.server->Shutdown();
+        serve::InferenceRequest request;
+        request.series = MakeSeries(60, 2, 20000 + i);
+        serve::InferenceResponse response =
+            router.Submit(std::move(request)).get();
+        if (response.status.ok()) {
+          served.fetch_add(1);
+          continue;
+        }
+        if (response.status.code() != StatusCode::kUnavailable) {
+          fail(i, "untyped failure", response.status);
+          continue;
+        }
+        unavailable.fetch_add(1);
+        serve::InferenceRequest retry;
+        retry.series = MakeSeries(60, 2, 20000 + i);
+        serve::InferenceResponse retried =
+            router.Submit(std::move(retry)).get();
+        if (retried.status.ok()) {
+          served.fetch_add(1);
+        } else {
+          fail(i, "retry failed", retried.status);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  std::string log;
+  for (const auto& line : failures) log += line + "\n";
+  EXPECT_TRUE(failures.empty()) << log;
+  EXPECT_EQ(served.load(), kBurst)
+      << "one retry must serve every request the shutdown interrupted";
+  EXPECT_GT(unavailable.load(), 0) << "shutdown never surfaced mid-burst";
   EXPECT_EQ(router.num_live(), 1);
   EXPECT_FALSE(router.replica_live(0));
   EXPECT_TRUE(router.replica_live(1));

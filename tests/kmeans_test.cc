@@ -140,20 +140,6 @@ TEST(KMeansTest, DeterministicUnderSeed) {
   EXPECT_TRUE(a.centroids.AllClose(b.centroids));
 }
 
-TEST(KMeansTest, NaiveAndMatmulDistancesAgreeOnResult) {
-  Rng rng_data(9);
-  Tensor points = Tensor::RandNormal({60, 4}, &rng_data);
-  KMeansOptions fast_opts;
-  fast_opts.num_clusters = 5;
-  fast_opts.matmul_distance = true;
-  KMeansOptions naive_opts = fast_opts;
-  naive_opts.matmul_distance = false;
-  Rng r1(13), r2(13);
-  KMeansResult fast = RunKMeans(points, fast_opts, &r1);
-  KMeansResult naive = RunKMeans(points, naive_opts, &r2);
-  EXPECT_EQ(fast.assignment, naive.assignment);
-}
-
 TEST(ClusterRadiiTest, RadiiBoundMemberDistances) {
   Rng rng(10);
   Tensor points = Tensor::RandNormal({50, 3}, &rng);

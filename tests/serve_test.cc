@@ -461,9 +461,9 @@ TEST(InferenceEngineTest, CountsDeadlineMisses) {
   EXPECT_EQ(engine.model_stats(0).deadline_missed, 1u);
 }
 
-// Context-conditioned forwards: null context reproduces the plain forward
-// bit-for-bit (and hands back the same [CLS] Embed() computes); a real
-// context changes the output deterministically.
+// Context-conditioned forwards: asking for the [CLS] out leaves the logits
+// bit-for-bit unchanged (and hands back the same [CLS] Embed() computes); a
+// real context changes the output deterministically.
 TEST(FrozenModelTest, ContextConditionedForwards) {
   model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
   Rng rng(53);
@@ -472,19 +472,19 @@ TEST(FrozenModelTest, ContextConditionedForwards) {
   Tensor batch = MakeSeries(60, 2, 30).Reshape({1, 60, 2});
 
   Tensor cls;
-  Tensor plain = frozen.ClassLogitsWithContext(batch, nullptr, &cls);
+  Tensor plain = frozen.ClassLogits(batch, nullptr, &cls);
   EXPECT_TRUE(BitEqual(plain, frozen.ClassLogits(batch)));
   EXPECT_TRUE(BitEqual(cls.Reshape({1, 16}), frozen.Embed(batch)));
 
   Rng ctx_rng(31);
   Tensor context = Tensor::RandNormal({1, 16}, &ctx_rng);
-  Tensor conditioned = frozen.ClassLogitsWithContext(batch, &context, nullptr);
+  Tensor conditioned = frozen.ClassLogits(batch, &context);
   EXPECT_FALSE(BitEqual(conditioned, plain)) << "context token had no effect";
-  Tensor again = frozen.ClassLogitsWithContext(batch, &context, nullptr);
+  Tensor again = frozen.ClassLogits(batch, &context);
   EXPECT_TRUE(BitEqual(conditioned, again));
 
   Tensor recon_cls;
-  Tensor recon = frozen.ReconstructWithContext(batch, &context, &recon_cls);
+  Tensor recon = frozen.Reconstruct(batch, &context, &recon_cls);
   EXPECT_EQ(recon.shape(), Shape({1, 60, 2}));
   EXPECT_EQ(recon_cls.shape(), Shape({1, 16}));
   EXPECT_FALSE(BitEqual(recon, frozen.Reconstruct(batch)));
@@ -494,9 +494,9 @@ TEST(FrozenModelTest, ContextConditionedForwards) {
 std::vector<Tensor> AllTaskForwards(const FrozenModel& frozen, const Tensor& batch,
                                     const Tensor* context, ExecutionContext* exec) {
   std::vector<Tensor> out(5);
-  out[0] = frozen.ClassLogitsWithContext(batch, context, &out[1], exec);
-  out[2] = frozen.ReconstructWithContext(batch, context, &out[3], exec);
-  out[4] = frozen.EmbedWithContext(batch, context, exec);
+  out[0] = frozen.ClassLogits(batch, context, &out[1], exec);
+  out[2] = frozen.Reconstruct(batch, context, &out[3], exec);
+  out[4] = frozen.Embed(batch, context, exec);
   return out;
 }
 
@@ -584,8 +584,7 @@ TEST(InferenceEngineTest, RoutesContextRequestsAndBypassesCache) {
   ASSERT_TRUE(r2.status.ok());
   EXPECT_FALSE(r2.cache_hit) << "context-bearing requests must bypass the cache";
   Tensor ctx_batch = r1.context.Reshape({1, 16});
-  Tensor want = frozen.ClassLogitsWithContext(series.Reshape({1, 60, 2}),
-                                              &ctx_batch, nullptr);
+  Tensor want = frozen.ClassLogits(series.Reshape({1, 60, 2}), &ctx_batch);
   EXPECT_TRUE(BitEqual(r2.output.Reshape({1, 4}), want));
 
   // Replaying an identical context request recomputes instead of hitting.
@@ -941,7 +940,7 @@ TEST(QuantizedServingTest, QuantizedForwardsAreBatchAndPoolWidthInvariant) {
 
   ThreadPool pool(16);  // 16 > B*H = 8: the narrow group-attention path
   ExecutionContext exec(&pool);
-  Tensor wide = int8.ClassLogitsWithContext(batch, nullptr, nullptr, &exec);
+  Tensor wide = int8.ClassLogits(batch, nullptr, nullptr, &exec);
   EXPECT_TRUE(BitEqual(batched, wide));
 }
 

@@ -331,6 +331,46 @@ TEST(StreamSessionTest, ContextCarryConditionsLaterWindows) {
   }
 }
 
+// The carried [CLS] chain matches a reference built outside the session:
+// window k is ClassLogits(window_k, k ? &cls_{k-1} : nullptr, &cls_k)
+// straight on the FrozenModel, the edge-padded tail included.
+TEST(StreamSessionTest, ContextCarryMatchesManualClsChain) {
+  Rig rig;
+  StreamOptions options;
+  options.task = StreamTask::kClassify;
+  options.window_length = 60;
+  options.hop = 30;
+  options.carry_context = true;
+  const int64_t n = 150, c = 2, w = 60, hop = 30;
+  const Tensor series = MakeSeries(n, c, 9);
+
+  const StreamRun run = FeedSeries(rig.manager.get(), options, series, 7);
+  // 4 full windows (starts 0/30/60/90) + the flushed tail (start 120).
+  ASSERT_EQ(run.results.size(), 5u);
+  EXPECT_EQ(run.results.back().valid_length, 30);
+
+  std::vector<Tensor> windows;
+  int64_t start = 0;
+  for (; start + w <= n; start += hop) windows.push_back(SliceRows(series, start, w));
+  Tensor padded({w, c});
+  std::copy(series.data() + start * c, series.data() + n * c, padded.data());
+  for (int64_t row = n - start; row < w; ++row) {
+    std::copy(series.data() + (n - 1) * c, series.data() + n * c,
+              padded.data() + row * c);
+  }
+  windows.push_back(padded);
+  ASSERT_EQ(windows.size(), run.results.size());
+
+  Tensor cls;
+  for (size_t k = 0; k < windows.size(); ++k) {
+    const Tensor previous = cls;
+    const Tensor want = rig.frozen->ClassLogits(
+        windows[k].Reshape({1, w, c}), k > 0 ? &previous : nullptr, &cls);
+    EXPECT_TRUE(BitEqual(run.results[k].logits, want.Reshape({4})))
+        << "window " << k << " diverges from the manual [CLS] chain";
+  }
+}
+
 // A stream shorter than one window flushes as a single edge-padded window.
 TEST(StreamSessionTest, ShortStreamFlushesPaddedTail) {
   Rig rig;
