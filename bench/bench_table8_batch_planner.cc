@@ -16,15 +16,14 @@
 //    adaptive plan never exceeds the ceiling and never falls below the
 //    analytic plan on confirming telemetry.
 //
-// 3. Quantized serving variants (PR 8): freeze one trained-shape model at
-//    fp32 / int8 / bf16, measure the weight-footprint ratio, the accuracy
-//    delta against the fp32 reference (argmax agreement + reconstruction-MSE
-//    ratio, the same metrics serve/accuracy_gate.h enforces at registration)
-//    and the batch-ceiling uplift the AdaptivePlanner grants the smaller
-//    working set. Hard gates: int8 ceiling >= 1.5x fp32, agreement >= 0.99,
-//    MSE ratio <= 1.05, int8 GEMM bytes <= 0.30x fp32, and the fp32 variant
-//    stays bitwise identical to a plain freeze. Emits BENCH_quant.json next
-//    to the part-1/2 document for the CI regression gate.
+// 3. The bf16 serving variant: freeze one trained-shape model at fp32 and
+//    bf16, measure the weight-footprint ratio and the accuracy delta against
+//    the fp32 reference (argmax agreement + reconstruction-MSE ratio, the
+//    same metrics serve/accuracy_gate.h enforces at registration). Hard
+//    gates: agreement >= 0.99, MSE ratio <= 1.05, bf16 GEMM bytes <= 0.50x
+//    fp32, and the fp32 variant stays bitwise identical to a plain freeze.
+//    Emits BENCH_quant.json next to the part-1/2 document for the CI
+//    regression gate.
 #include <cmath>
 #include <cstring>
 
@@ -184,11 +183,9 @@ void RunAdaptiveComparison(const BenchScale& scale, BenchJsonWriter* json) {
   json->Add("adaptive/within_ceiling", 1.0, "bool");
 }
 
-// Part 3: the quantized serving path end to end. Realistic width (dim 64,
-// the paper's) so the int8 per-column overhead amortizes: ratio = 0.25 + 2/k
-// lands at ~0.28, under the 0.30 gate that tiny unit-test dims cannot meet.
+// Part 3: the bf16 serving path end to end, at the paper's width (dim 64).
 void RunQuantizedServing(const BenchScale& scale, const std::string& json_path) {
-  std::printf("=== Quantized serving variants (int8 / bf16 vs fp32) ===\n\n");
+  std::printf("=== Quantized serving variant (bf16 vs fp32) ===\n\n");
   BenchJsonWriter json("quantized_serving");
 
   model::RitaConfig config;
@@ -209,10 +206,9 @@ void RunQuantizedServing(const BenchScale& scale, const std::string& json_path) 
 
   serve::FrozenModel fp32(source);
   serve::FrozenModel fp32_variant(source, Precision::kFp32);
-  serve::FrozenModel int8(source, Precision::kInt8);
   serve::FrozenModel bf16(source, Precision::kBf16);
 
-  // fp32 gate is unchanged by this PR: bitwise, not accuracy-delta.
+  // The fp32 gate is bitwise, not accuracy-delta.
   Rng data_rng(55);
   Tensor probe = Tensor::RandNormal({4, 240, 2}, &data_rng);
   Tensor want = fp32.ClassLogits(probe);
@@ -226,73 +222,28 @@ void RunQuantizedServing(const BenchScale& scale, const std::string& json_path) 
   // the same gate RegisterVariant-time checks use.
   const int64_t eval_batch = scale.quick ? 8 : 16;
   Tensor eval = Tensor::RandNormal({eval_batch, 240, 2}, &data_rng);
-  std::printf("%8s %14s %12s %11s %11s %10s\n", "variant", "weight-bytes",
-              "bytes-ratio", "agreement", "mse-ratio", "ceiling");
-  PrintRule(72);
+  serve::AccuracyDeltaReport report;
+  const Status gate = serve::CheckAccuracyDelta(fp32, bf16, eval, {}, &report);
+  RITA_CHECK(gate.ok()) << gate.ToString();
+  std::printf("%8s %14s %12s %11s %11s\n", "variant", "weight-bytes",
+              "bytes-ratio", "agreement", "mse-ratio");
+  PrintRule(60);
+  std::printf("%8s %14lld %11.4fx %11.4f %11.4f\n", "fp32",
+              static_cast<long long>(fp32.WeightBytes()), 1.0, 1.0, 1.0);
+  std::printf("%8s %14lld %11.4fx %11.4f %11.4f\n\n", "bf16",
+              static_cast<long long>(bf16.WeightBytes()), bf16.QuantizedBytesRatio(),
+              report.classification_agreement, report.reconstruction_mse_ratio);
+  json.Add("quant/bf16/weight_bytes_ratio", bf16.QuantizedBytesRatio(), "ratio");
+  json.Add("quant/bf16/agreement", report.classification_agreement, "ratio");
+  json.Add("quant/bf16/mse_ratio", report.reconstruction_mse_ratio, "ratio");
 
-  // Planner uplift: register each variant's memory scale with the adaptive
-  // planner and compare forward-only safety ceilings on the same device.
-  core::EncoderShape shape;
-  shape.kind = attn::AttentionKind::kGroup;
-  core::MemoryModel memory_model(shape);
-  core::BatchPlannerOptions options;
-  options.max_length = 10000;
-  options.num_samples = scale.quick ? 48 : 64;
-  core::BatchPlanner analytic(memory_model, options);
-  Rng calib_rng(31);
-  analytic.Calibrate(&calib_rng);
-  serve::AdaptivePlanner adaptive(&analytic);
-
-  const int64_t kLength = 4000, kGroups = 64;
-  const serve::FrozenModel* variants[3] = {&fp32, &int8, &bf16};
-  const int64_t model_ids[3] = {0, 1, 2};
-  int64_t ceilings[3] = {0, 0, 0};
-  double agreements[3] = {1.0, 1.0, 1.0};
-  double mse_ratios[3] = {1.0, 1.0, 1.0};
-  for (int i = 0; i < 3; ++i) {
-    const serve::FrozenModel& variant = *variants[i];
-    if (variant.precision() != Precision::kFp32) {
-      serve::AccuracyDeltaReport report;
-      const Status gate =
-          serve::CheckAccuracyDelta(fp32, variant, eval, {}, &report);
-      RITA_CHECK(gate.ok()) << gate.ToString();
-      agreements[i] = report.classification_agreement;
-      mse_ratios[i] = report.reconstruction_mse_ratio;
-    }
-    adaptive.SetModelMemoryScale(model_ids[i], variant.MemoryScale());
-    ceilings[i] = adaptive.SafetyCeiling(model_ids[i], kLength, kGroups);
-    std::printf("%8s %14lld %11.4fx %11.4f %11.4f %10lld\n",
-                PrecisionName(variant.precision()),
-                static_cast<long long>(variant.WeightBytes()),
-                variant.QuantizedBytesRatio(), agreements[i], mse_ratios[i],
-                static_cast<long long>(ceilings[i]));
-    const std::string prefix =
-        std::string("quant/") + PrecisionName(variant.precision());
-    json.Add(prefix + "/weight_bytes_ratio", variant.QuantizedBytesRatio(),
-             "ratio");
-    json.Add(prefix + "/agreement", agreements[i], "ratio");
-    json.Add(prefix + "/mse_ratio", mse_ratios[i], "ratio");
-  }
-  const double int8_uplift =
-      static_cast<double>(ceilings[1]) / static_cast<double>(ceilings[0]);
-  const double bf16_uplift =
-      static_cast<double>(ceilings[2]) / static_cast<double>(ceilings[0]);
-  std::printf("\nconverged batch ceiling uplift: int8 %.2fx, bf16 %.2fx\n\n",
-              int8_uplift, bf16_uplift);
-  json.Add("quant/int8/ceiling_uplift", int8_uplift, "x");
-  json.Add("quant/bf16/ceiling_uplift", bf16_uplift, "x");
-
-  // CI gates (RITA_CHECK => non-zero exit): footprint, accuracy, uplift.
-  RITA_CHECK_LE(int8.QuantizedBytesRatio(), 0.30)
-      << "int8 GEMM weight bytes exceed 0.30x fp32";
+  // CI gates (RITA_CHECK => non-zero exit): footprint and accuracy.
   RITA_CHECK_LE(bf16.QuantizedBytesRatio(), 0.50 + 1e-9)
       << "bf16 GEMM weight bytes exceed 0.50x fp32";
-  RITA_CHECK_GE(agreements[1], 0.99) << "int8 argmax agreement below 0.99";
-  RITA_CHECK_GE(agreements[2], 0.99) << "bf16 argmax agreement below 0.99";
-  RITA_CHECK_LE(mse_ratios[1], 1.05) << "int8 reconstruction-MSE ratio above 1.05";
-  RITA_CHECK_LE(mse_ratios[2], 1.05) << "bf16 reconstruction-MSE ratio above 1.05";
-  RITA_CHECK_GE(int8_uplift, 1.5)
-      << "int8 batch ceiling uplift fell below the 1.5x floor";
+  RITA_CHECK_GE(report.classification_agreement, 0.99)
+      << "bf16 argmax agreement below 0.99";
+  RITA_CHECK_LE(report.reconstruction_mse_ratio, 1.05)
+      << "bf16 reconstruction-MSE ratio above 1.05";
 
   RITA_CHECK(json.WriteTo(json_path)) << "failed to write " << json_path;
 }

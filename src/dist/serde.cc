@@ -450,7 +450,8 @@ Status DecodeModelSet(WireReader* r, std::vector<serve::ModelInfo>* out) {
     m.fingerprint = r->U64();
     const uint8_t precision = r->U8();
     if (!r->ok()) break;
-    if (precision > static_cast<uint8_t>(Precision::kBf16)) {
+    if (precision != static_cast<uint8_t>(Precision::kFp32) &&
+        precision != static_cast<uint8_t>(Precision::kBf16)) {
       return Status::InvalidArgument("wire decode: unknown precision " +
                                      std::to_string(precision));
     }

@@ -16,7 +16,6 @@
 #ifndef RITA_LINALG_KERNELS_KERNELS_H_
 #define RITA_LINALG_KERNELS_KERNELS_H_
 
-#include <cmath>
 #include <cstdint>
 
 #include "util/execution_context.h"
@@ -49,17 +48,6 @@ struct KernelTable {
   /// callers shard over disjoint row ranges freely.
   void (*gemm)(const float* a, const float* b, float* c, int64_t m, int64_t n,
                int64_t k, bool trans_a, bool trans_b, int64_t r0, int64_t r1);
-  /// Rows [r0, r1) of C = A W for a frozen int8 weight: A is [m, k] fp32,
-  /// W is [k, n] symmetric per-output-channel int8 with fp32 `scales` [n] and
-  /// int32 payload column sums `col_sums` [n]. Each activation row is
-  /// dynamically quantized to u8 in [0, 127] (internal::QuantizeActivationRow)
-  /// and accumulated in exact int32 before one per-element dequantize, so this
-  /// kernel — unlike the float GEMMs — is bit-identical ACROSS backends: the
-  /// integer dot is order-independent and both epilogues round the same float
-  /// expression. kernel_test pins scalar == AVX2 with EXPECT_EQ.
-  void (*gemm_i8)(const float* a, const int8_t* w, const float* scales,
-                  const int32_t* col_sums, float* c, int64_t m, int64_t n,
-                  int64_t k, int64_t r0, int64_t r1);
   /// Rows [r0, r1) of C = A W for a frozen bf16 weight [k, n] (widened back
   /// to fp32 in-register). Vector FMA reorders the reduction, so the backends
   /// are tolerance-gated like the fp32 GEMM.
@@ -171,43 +159,6 @@ inline void SqDistCombine(float* row, const float* b2, float a2, int64_t m) {
 }
 
 namespace internal {
-
-/// Dynamic asymmetric quantization of one fp32 activation row for gemm_i8.
-struct RowQuant {
-  float scale = 1.0f;      // dequantization step
-  int32_t zero_point = 0;  // u8 code of real 0, in [0, 127]
-};
-
-/// Quantizes `a[0..k)` into u8 codes in [0, 127] (7 bits: keeps every AVX2
-/// maddubs pair sum below i16 saturation) with the range anchored to include
-/// 0, so real 0 maps to an exact code. Defined inline in this header and
-/// called by BOTH backend TUs: every operation is elementwise or an
-/// order-independent min/max, so the scalar and AVX2 translation units
-/// produce identical codes — the precondition for gemm_i8's cross-backend
-/// bit-identity (FMA contraction cannot apply: no multiply feeds an add).
-inline RowQuant QuantizeActivationRow(const float* a, int64_t k, uint8_t* qa) {
-  float lo = 0.0f, hi = 0.0f;
-  for (int64_t i = 0; i < k; ++i) {
-    lo = lo < a[i] ? lo : a[i];
-    hi = hi > a[i] ? hi : a[i];
-  }
-  const float range = hi - lo;
-  if (range == 0.0f) {  // lo == hi == 0 => the whole row is exactly 0
-    for (int64_t i = 0; i < k; ++i) qa[i] = 0;
-    return RowQuant{};
-  }
-  RowQuant rq;
-  const float inv = 127.0f / range;
-  rq.scale = range / 127.0f;
-  rq.zero_point = static_cast<int32_t>(std::nearbyintf(-lo * inv));
-  for (int64_t i = 0; i < k; ++i) {
-    // The product is <= 127 * (1 + 2 eps); the min guards the rounding edge.
-    const float code = (a[i] - lo) * inv;
-    qa[i] = static_cast<uint8_t>(
-        std::nearbyintf(code < 127.0f ? code : 127.0f));
-  }
-  return rq;
-}
 
 /// bf16 -> fp32 widening (exact bit shift) shared by both backends' tails.
 inline float Bf16Widen(uint16_t v) {

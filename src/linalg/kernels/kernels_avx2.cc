@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace rita {
 namespace kernels {
@@ -62,9 +61,12 @@ inline __m256 Exp8(__m256 x) {
 
 // Scalar replica of Exp8 (same constants, fmaf mirrors the vector FMAs) for
 // loop tails, so a value gets the same result whether it lands in a vector
-// lane or the remainder.
+// lane or the remainder. The clamp spells out max_ps/min_ps operand order:
+// NaN clamps to the lower bound as in a vector lane, so the int conversion
+// below never sees NaN.
 inline float Exp1(float x) {
-  const float clamped = std::min(std::max(x, -87.3365478515625f), 88.3762626647950f);
+  const float lo = x > -87.3365478515625f ? x : -87.3365478515625f;
+  const float clamped = lo < 88.3762626647950f ? lo : 88.3762626647950f;
   const float m = std::nearbyintf(clamped * 1.44269504088896341f);
   float r = std::fmaf(m, -0.693359375f, clamped);
   r = std::fmaf(m, 2.12194440e-4f, r);
@@ -449,7 +451,7 @@ void GemmAvx2(const float* a, const float* b, float* c, int64_t m, int64_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Quantized GEMM
+// bf16 GEMM
 // ---------------------------------------------------------------------------
 
 // Widens 8 bf16 values (u16) to fp32: exact, so only the FMA reduction order
@@ -457,109 +459,6 @@ void GemmAvx2(const float* a, const float* b, float* c, int64_t m, int64_t n,
 inline __m256 Bf16Load8(const uint16_t* p) {
   const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-}
-
-// Int8 dot epilogue for one 8-column vector: C = (sa * scales) * (acc - za *
-// col_sums), the exact float expression of the scalar backend (two multiplies
-// on the dequant side, one int32 multiply-subtract on the correction side),
-// so both backends round identically bit for bit.
-inline __m256 Int8Epilogue(__m256i acc, const float* scales,
-                           const int32_t* col_sums, float sa, int32_t za) {
-  const __m256 deq = _mm256_mul_ps(_mm256_set1_ps(sa), _mm256_loadu_ps(scales));
-  const __m256i corr = _mm256_mullo_epi32(
-      _mm256_set1_epi32(za),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col_sums)));
-  return _mm256_mul_ps(deq, _mm256_cvtepi32_ps(_mm256_sub_epi32(acc, corr)));
-}
-
-// Rows [r0, r1) of C = A W, W int8 [k, n] with per-column scales. Register
-// tiling: 16 columns x 2 contraction rows per step — the two weight rows are
-// interleaved in-register (unpacklo/hi) into the (w[kk][j], w[kk+1][j]) byte
-// pairs maddubs contracts against the broadcast u8 activation pair. Products
-// are bounded by 127*127 so the i16 pair sums never saturate, and the int32
-// accumulation is exact — any summation order gives the scalar backend's acc.
-void GemmInt8Avx2(const float* a, const int8_t* w, const float* scales,
-                  const int32_t* col_sums, float* c, int64_t m, int64_t n,
-                  int64_t k, int64_t r0, int64_t r1) {
-  (void)m;
-  std::vector<uint8_t> qa(static_cast<size_t>(k));
-  for (int64_t i = r0; i < r1; ++i) {
-    const internal::RowQuant rq =
-        internal::QuantizeActivationRow(a + i * k, k, qa.data());
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256i acc_lo = _mm256_setzero_si256();  // columns j .. j+7
-      __m256i acc_hi = _mm256_setzero_si256();  // columns j+8 .. j+15
-      int64_t kk = 0;
-      for (; kk + 2 <= k; kk += 2) {
-        const __m128i w0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(w + kk * n + j));
-        const __m128i w1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(w + (kk + 1) * n + j));
-        const __m256i pairs =
-            _mm256_set_m128i(_mm_unpackhi_epi8(w0, w1), _mm_unpacklo_epi8(w0, w1));
-        const uint16_t apair = static_cast<uint16_t>(
-            qa[static_cast<size_t>(kk)] |
-            (static_cast<uint16_t>(qa[static_cast<size_t>(kk + 1)]) << 8));
-        const __m256i prod = _mm256_maddubs_epi16(
-            _mm256_set1_epi16(static_cast<short>(apair)), pairs);
-        acc_lo = _mm256_add_epi32(
-            acc_lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
-        acc_hi = _mm256_add_epi32(
-            acc_hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
-      }
-      if (kk < k) {  // odd k: final weight row paired with zero
-        const __m128i w0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(w + kk * n + j));
-        const __m128i z = _mm_setzero_si128();
-        const __m256i pairs =
-            _mm256_set_m128i(_mm_unpackhi_epi8(w0, z), _mm_unpacklo_epi8(w0, z));
-        const __m256i prod = _mm256_maddubs_epi16(
-            _mm256_set1_epi16(static_cast<short>(qa[static_cast<size_t>(kk)])),
-            pairs);
-        acc_lo = _mm256_add_epi32(
-            acc_lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
-        acc_hi = _mm256_add_epi32(
-            acc_hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
-      }
-      _mm256_storeu_ps(crow + j, Int8Epilogue(acc_lo, scales + j, col_sums + j,
-                                              rq.scale, rq.zero_point));
-      _mm256_storeu_ps(crow + j + 8, Int8Epilogue(acc_hi, scales + j + 8,
-                                                  col_sums + j + 8, rq.scale,
-                                                  rq.zero_point));
-    }
-    if (j < n) {
-      // Masked tail: accumulate the last (< 16) columns into a zero-padded
-      // stack block (scalar int adds — exact either way), then run the vector
-      // epilogue with masked scale/sum loads and masked stores so no lane
-      // reads or writes past the row.
-      alignas(32) int32_t acc[16] = {0};
-      alignas(32) float sc[16] = {0};
-      alignas(32) int32_t cs[16] = {0};
-      const int64_t tail = n - j;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const int32_t av = qa[static_cast<size_t>(kk)];
-        if (av == 0) continue;
-        const int8_t* wrow = w + kk * n;
-        for (int64_t t = 0; t < tail; ++t) acc[t] += av * wrow[j + t];
-      }
-      for (int64_t t = 0; t < tail; ++t) {
-        sc[t] = scales[j + t];
-        cs[t] = col_sums[j + t];
-      }
-      for (int64_t t0 = 0; t0 < tail; t0 += 8) {
-        alignas(32) int32_t lane_on[8];
-        for (int64_t l = 0; l < 8; ++l) lane_on[l] = t0 + l < tail ? -1 : 0;
-        const __m256i mask =
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(lane_on));
-        const __m256 v = Int8Epilogue(
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(acc + t0)),
-            sc + t0, cs + t0, rq.scale, rq.zero_point);
-        _mm256_maskstore_ps(crow + j + t0, mask, v);
-      }
-    }
-  }
 }
 
 // bf16 micro-kernel: the Nx16 fp32 shape with in-register bf16 widening.
@@ -742,7 +641,7 @@ namespace internal {
 const KernelTable* SimdTable() {
   static const KernelTable table = {
       SoftmaxRowsAvx2,   SoftmaxBackwardRowsAvx2, LogSoftmaxBackwardRowsAvx2,
-      GemmAvx2,          GemmInt8Avx2,            GemmBf16Avx2,
+      GemmAvx2,          GemmBf16Avx2,
       ExpArrayAvx2,      TanhArrayAvx2,           SigmoidArrayAvx2,
       GeluArrayAvx2,     AxpyAvx2,                ScaleAvx2,
       AddAvx2,           AccumulateF64Avx2,       RowSqNormsAvx2,

@@ -7,7 +7,6 @@
 // multiply+add into an FMA behind our back either.)
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "linalg/kernels/kernels.h"
 
@@ -146,39 +145,6 @@ void GemmScalar(const float* a, const float* b, float* c, int64_t m, int64_t n,
   }
 }
 
-// Rows [r0, r1) of C = A W for a frozen per-channel int8 weight. The u8
-// activation codes come from the shared QuantizeActivationRow, the dot is
-// exact int32, and the epilogue rounds the same float expression as the AVX2
-// backend — so this kernel is bit-identical across backends (EXPECT_EQ-gated
-// in kernel_test), not merely tolerance-close.
-void GemmInt8Scalar(const float* a, const int8_t* w, const float* scales,
-                    const int32_t* col_sums, float* c, int64_t m, int64_t n,
-                    int64_t k, int64_t r0, int64_t r1) {
-  (void)m;
-  std::vector<uint8_t> qa(static_cast<size_t>(k));
-  std::vector<int32_t> acc(static_cast<size_t>(n));
-  for (int64_t i = r0; i < r1; ++i) {
-    const internal::RowQuant rq =
-        internal::QuantizeActivationRow(a + i * k, k, qa.data());
-    std::fill(acc.begin(), acc.end(), 0);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const int32_t av = qa[static_cast<size_t>(kk)];
-      if (av == 0) continue;
-      const int8_t* wrow = w + kk * n;
-      for (int64_t j = 0; j < n; ++j) acc[static_cast<size_t>(j)] += av * wrow[j];
-    }
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      // Dequantize: both factors and the correction are computed in this
-      // exact order in the AVX2 epilogue too.
-      const float deq = rq.scale * scales[j];
-      const int32_t corrected =
-          acc[static_cast<size_t>(j)] - rq.zero_point * col_sums[j];
-      crow[j] = deq * static_cast<float>(corrected);
-    }
-  }
-}
-
 // Rows [r0, r1) of C = A W for a bf16 weight; widening is exact, the loop
 // mirrors the fp32 NN case (ikj, axpy inner), so this is the bit-identity
 // anchor the AVX2 bf16 kernel is tolerance-gated against.
@@ -265,7 +231,7 @@ namespace internal {
 const KernelTable* ScalarTable() {
   static const KernelTable table = {
       SoftmaxRowsScalar,     SoftmaxBackwardRowsScalar, LogSoftmaxBackwardRowsScalar,
-      GemmScalar,            GemmInt8Scalar,            GemmBf16Scalar,
+      GemmScalar,            GemmBf16Scalar,
       ExpArrayScalar,        TanhArrayScalar,           SigmoidArrayScalar,
       GeluArrayScalar,       AxpyScalar,                ScaleScalar,
       AddScalar,             AccumulateF64Scalar,       RowSqNormsScalar,

@@ -29,8 +29,6 @@ void Linear::SetQuantizedWeight(const QuantizedTensor* qweight) {
   if (qweight != nullptr) {
     RITA_CHECK_EQ(qweight->rows(), in_features_);
     RITA_CHECK_EQ(qweight->cols(), out_features_);
-    RITA_CHECK(qweight->precision() != Precision::kFp32)
-        << "attach a quantized weight or detach with null, not an fp32 stub";
   }
   qweight_ = qweight;
 }
@@ -57,8 +55,6 @@ ag::Variable Linear::Forward(const ag::Variable& x, Epilogue epilogue) {
   ops::ParallelRows(rows, n * k, [&](int64_t r0, int64_t r1) {
     if (q == nullptr) {
       kt.gemm(px, pw, py, rows, n, k, false, false, r0, r1);
-    } else if (q->precision() == Precision::kInt8) {
-      kt.gemm_i8(px, q->int8_data(), q->scales(), q->col_sums(), py, rows, n, k, r0, r1);
     } else {
       kt.gemm_bf16(px, q->bf16_data(), py, rows, n, k, r0, r1);
     }

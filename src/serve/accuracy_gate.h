@@ -1,5 +1,5 @@
 // Accuracy-delta gate for reduced-precision serving variants. The fp32 path
-// is guarded by bitwise CI gates; an int8/bf16 variant cannot be (quantization
+// is guarded by bitwise CI gates; a bf16 variant cannot be (quantization
 // changes the bits by design), so CI instead bounds its *behavioural* drift
 // from the fp32 reference on a probe batch:
 //

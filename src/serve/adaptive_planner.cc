@@ -42,48 +42,6 @@ int64_t AdaptivePlanner::SafetyCeiling(int64_t length, int64_t groups) const {
       std::max<int64_t>(1, groups), options_.memory_fraction, options_.max_batch);
 }
 
-int64_t AdaptivePlanner::SafetyCeiling(int64_t model_id, int64_t length,
-                                       int64_t groups) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core::MaxFeasibleBatch(
-      ceiling_model_, std::max(length, ceiling_model_.shape().window),
-      std::max<int64_t>(1, groups), EffectiveMemoryFraction(model_id),
-      options_.max_batch);
-}
-
-void AdaptivePlanner::SetModelMemoryScale(int64_t model_id, double scale) {
-  RITA_CHECK_GT(scale, 0.0);
-  RITA_CHECK_LE(scale, 1.0);
-  std::lock_guard<std::mutex> lock(mu_);
-  memory_scales_[model_id] = scale;
-  // Re-probe live buckets: Start() pushes the scales before serving, but a
-  // scale registered after traffic began must still lift (or lower) the
-  // ceilings that were computed at the default charge.
-  for (auto& [key, state] : buckets_) {
-    if (std::get<0>(key) != model_id || state.groups <= 0) continue;
-    state.ceiling = core::MaxFeasibleBatch(
-        ceiling_model_, BucketLength(std::get<2>(key)), state.groups,
-        EffectiveMemoryFraction(model_id), options_.max_batch);
-    state.plan = std::max<int64_t>(1, std::min(state.plan, state.ceiling));
-  }
-}
-
-double AdaptivePlanner::ModelMemoryScale(int64_t model_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = memory_scales_.find(model_id);
-  return it == memory_scales_.end() ? 1.0 : it->second;
-}
-
-double AdaptivePlanner::EffectiveMemoryFraction(int64_t model_id) const {
-  const auto it = memory_scales_.find(model_id);
-  const double scale = it == memory_scales_.end() ? 1.0 : it->second;
-  // A variant charging scale * fp32 bytes per sample satisfies
-  //   scale * PeakBytes(b) <= fraction * capacity
-  // exactly when PeakBytes(b) <= (fraction / scale) * capacity, so the probe
-  // keeps the fp32 memory model and widens the admissible fraction instead.
-  return options_.memory_fraction / scale;
-}
-
 bool AdaptivePlanner::calibrated() const {
   return seed_->calibrated();
 }
@@ -138,9 +96,7 @@ void AdaptivePlanner::Observe(const core::BatchTelemetry& sample) {
     state.latency = OnlineLinearFit(options_.decay, options_.outlier_mad_factor);
     state.memory = OnlineLinearFit(options_.decay, options_.outlier_mad_factor);
     state.groups = norm_groups;
-    state.ceiling = core::MaxFeasibleBatch(
-        ceiling_model_, BucketLength(bucket), norm_groups,
-        EffectiveMemoryFraction(sample.model_id), options_.max_batch);
+    state.ceiling = SafetyCeiling(bucket, norm_groups);
     // Cold start = the analytic plan at the bucket's conservative length
     // (clamped under the ceiling, which forward-only accounting guarantees
     // anyway whenever both use the same device).

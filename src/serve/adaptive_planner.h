@@ -109,23 +109,10 @@ class AdaptivePlanner : public core::PlannerInterface {
                            int64_t batch) const override;
 
   /// Hard memory ceiling at (length, groups): forward-only accounting over
-  /// the seed's device. Every published plan satisfies plan <= ceiling.
+  /// the seed's device. Every published plan satisfies plan <= ceiling. The
+  /// ceiling is the same for every model: weight precision does not change
+  /// the activations a forward keeps live, which is what the probe prices.
   int64_t SafetyCeiling(int64_t length, int64_t groups) const;
-
-  /// Model-aware ceiling: same probe, with the model's registered memory
-  /// scale applied (a reduced-precision variant charges `scale` of the fp32
-  /// working set per sample, so its ceiling rises by ~1/scale).
-  int64_t SafetyCeiling(int64_t model_id, int64_t length, int64_t groups) const;
-
-  /// Registers `model_id`'s per-sample working-set charge relative to fp32
-  /// (FrozenModel::MemoryScale: 1.0 fp32, 2/3 bf16, 0.5 int8). The engine
-  /// pushes these at Start(); buckets created afterwards probe their ceiling
-  /// under the scaled footprint, which is how an int8 variant's batch ceiling
-  /// rises above its fp32 sibling's. Scales must be in (0, 1].
-  void SetModelMemoryScale(int64_t model_id, double scale);
-
-  /// The registered scale for `model_id` (1.0 when never set).
-  double ModelMemoryScale(int64_t model_id) const;
 
   /// Aggregated planner state for one model (model_id = -1: every model).
   Snapshot ModelSnapshot(int64_t model_id) const;
@@ -156,18 +143,12 @@ class AdaptivePlanner : public core::PlannerInterface {
   /// through the hysteresis dead-band + slew limit. Caller holds mu_.
   void Recalibrate(BucketState& state);
 
-  /// Memory fraction the ceiling probe may fill for `model_id`: the device
-  /// fraction divided by the model's memory scale (equivalent to shrinking
-  /// the per-sample charge by the scale). Caller holds mu_.
-  double EffectiveMemoryFraction(int64_t model_id) const;
-
   const core::BatchPlanner* seed_;
   AdaptivePlannerOptions options_;
   core::MemoryModel ceiling_model_;  // seed's shape, forward-only multiplier
   int64_t rss_budget_bytes_ = 0;
 
   mutable std::mutex mu_;
-  std::map<int64_t, double> memory_scales_;  // model_id -> charge vs fp32
   // std::map: deterministic iteration for snapshots; the handful of buckets
   // a serving mix produces makes lookup cost irrelevant.
   std::map<Key, BucketState> buckets_;

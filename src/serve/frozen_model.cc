@@ -75,9 +75,7 @@ void FrozenModel::QuantizeProjections() {
     for (nn::Linear* linear : matrices) {
       ag::Variable weight = linear->weight();
       const Tensor& w = weight.data();
-      auto q = std::make_unique<QuantizedTensor>(
-          precision_ == Precision::kInt8 ? QuantizedTensor::QuantizeInt8(w)
-                                         : QuantizedTensor::QuantizeBf16(w));
+      auto q = std::make_unique<QuantizedTensor>(QuantizedTensor::QuantizeBf16(w));
       quantizable_fp32_bytes_ += static_cast<int64_t>(sizeof(float)) * w.numel();
       quantized_bytes_ += q->WeightBytes();
       linear->SetQuantizedWeight(q.get());
@@ -91,18 +89,6 @@ double FrozenModel::QuantizedBytesRatio() const {
   if (precision_ == Precision::kFp32 || quantizable_fp32_bytes_ == 0) return 1.0;
   return static_cast<double>(quantized_bytes_) /
          static_cast<double>(quantizable_fp32_bytes_);
-}
-
-double FrozenModel::MemoryScale() const {
-  switch (precision_) {
-    case Precision::kInt8:
-      return 0.5;
-    case Precision::kBf16:
-      return 2.0 / 3.0;
-    case Precision::kFp32:
-    default:
-      return 1.0;
-  }
 }
 
 uint64_t FrozenModel::ComputeFingerprint() const {
@@ -143,23 +129,16 @@ uint64_t FrozenModel::ComputeFingerprint() const {
     h = Fnv1a64Value(mech->num_groups(), h);
     h = Fnv1a64Value(mech->seed(), h);
   }
-  // Serving precision: an int8/bf16 variant computes a (slightly) different
+  // Serving precision: a bf16 variant computes a (slightly) different
   // function from the fp32 replica of the same source, so result-cache
   // entries must never alias across variants. Hash the quantized payloads
   // too, not just the enum — the bytes the serving GEMMs actually read.
   h = Fnv1a64Value(static_cast<int32_t>(precision_), h);
   for (const auto& q : quantized_) {
-    if (q->precision() == Precision::kInt8) {
-      h = Fnv1a64(q->int8_data(),
-                  static_cast<size_t>(q->rows()) * static_cast<size_t>(q->cols()),
-                  h);
-      h = Fnv1a64(q->scales(), sizeof(float) * static_cast<size_t>(q->cols()), h);
-    } else {
-      h = Fnv1a64(q->bf16_data(),
-                  sizeof(uint16_t) * static_cast<size_t>(q->rows()) *
-                      static_cast<size_t>(q->cols()),
-                  h);
-    }
+    h = Fnv1a64(q->bf16_data(),
+                sizeof(uint16_t) * static_cast<size_t>(q->rows()) *
+                    static_cast<size_t>(q->cols()),
+                h);
   }
   return h;
 }

@@ -29,11 +29,10 @@ class FrozenModel {
   /// The source is left untouched and may keep training afterwards.
   ///
   /// `precision` selects the serving weight format: kFp32 is the untouched
-  /// bitwise-gated path; kInt8 / kBf16 quantize the replica's Q/K/V/output
-  /// projections and FFN matrices at freeze time (per-output-channel
-  /// symmetric int8 / bf16 truncation — see tensor/quantized_tensor.h) and
-  /// route every forward through the quantized GEMM kernels. Norms, biases,
-  /// the frontend and the task heads stay fp32.
+  /// bitwise-gated path; kBf16 truncates the replica's Q/K/V/output
+  /// projections and FFN matrices to bfloat16 at freeze time (see
+  /// tensor/quantized_tensor.h) and routes every forward through the bf16
+  /// GEMM kernel. Norms, biases, the frontend and the task heads stay fp32.
   /// Quantized variants trade bit-identity for an accuracy-delta gate
   /// (serve/accuracy_gate.h); freeze one source at several precisions and
   /// register them side by side for A/B serving.
@@ -50,25 +49,17 @@ class FrozenModel {
 
   /// Bytes of weight data the serving path actually reads: every parameter
   /// at fp32 except the quantized GEMM matrices, which are counted at their
-  /// QuantizedTensor footprint (payload + scales + correction sums).
+  /// QuantizedTensor footprint.
   int64_t WeightBytes() const { return weight_bytes_; }
 
   /// Quantized-over-fp32 byte ratio of the GEMM-path matrices alone (the
   /// Q/K/V/output projections and FFN weights); 1.0 for the fp32 variant.
-  /// This is the footprint metric the BENCH_quant CI gate bounds (~0.28 for
-  /// int8, 0.5 for bf16) — unquantized smalls (norms, biases) are excluded
-  /// so the ratio reflects the quantization itself, not the model mix.
+  /// This is the footprint metric the BENCH_quant CI gate bounds (0.5 for
+  /// bf16) — unquantized smalls (norms, biases) are excluded so the ratio
+  /// reflects the quantization itself, not the model mix. Weight precision
+  /// does not shrink the per-sample working set (gemm_bf16 reads and writes
+  /// fp32 activations), so the batch planner prices every variant alike.
   double QuantizedBytesRatio() const;
-
-  /// Per-sample working-set charge relative to fp32 for the planner's
-  /// forward-only ceiling probe. Roughly two thirds of a serving forward's
-  /// streamed bytes are GEMM panels (weights + activations) that shrink with
-  /// the weight precision — to ~1/4 for int8 (1-byte weights, u8 dynamic
-  /// activations) and 1/2 for bf16 — while the score/softmax stage stays
-  /// fp32: blended charge 1.0 (fp32), 2/3 (bf16), 1/2 (int8). The
-  /// AdaptivePlanner divides its memory fraction by this, raising the int8
-  /// batch ceiling ~2x over fp32.
-  double MemoryScale() const;
 
   /// Largest group count across the replica's group-attention layers (0 when
   /// the model uses another attention kind). The engine feeds this to the
@@ -114,7 +105,7 @@ class FrozenModel {
 
   uint64_t ComputeFingerprint() const;
 
-  /// Freeze-time pass for kInt8/kBf16: quantizes every encoder layer's
+  /// Freeze-time pass for kBf16: quantizes every encoder layer's
   /// Q/K/V/output projection and FFN matrices into owned QuantizedTensors and
   /// attaches them to the replica's Linear layers, accumulating the byte
   /// accounting that WeightBytes()/QuantizedBytesRatio() report.

@@ -95,14 +95,6 @@ void InferenceEngine::Start() {
   // and exposes per-model state for stats(); analytic planners only cap.
   adaptive_planner_ = dynamic_cast<AdaptivePlanner*>(options_.planner);
   registry_->Freeze();
-  if (adaptive_planner_ != nullptr) {
-    // Reduced-precision variants charge a smaller per-sample working set; the
-    // planner's ceiling probe must see that before the first bucket forms,
-    // or an int8 model would serve under its fp32 sibling's batch ceiling.
-    for (int64_t id = 0; id < registry_->size(); ++id) {
-      adaptive_planner_->SetModelMemoryScale(id, registry_->MemoryScale(id));
-    }
-  }
   if (options_.cache_bytes > 0) {
     ResultCache::Options cache_options;
     cache_options.byte_budget = options_.cache_bytes;
@@ -212,6 +204,12 @@ Status InferenceEngine::Validate(const InferenceRequest& request,
         "Linformer models serve only full-length series (" +
         std::to_string(config.input_length) + "), got " + std::to_string(t));
   }
+  // A NaN or Inf sample would flow through the forward into a cached OK
+  // response; refuse it here, the one check every local, remote and stream
+  // request passes.
+  if (!request.series.AllFinite()) {
+    return Status::InvalidArgument("request series has a non-finite sample");
+  }
   if (request.task == ServeTask::kClassify && config.num_classes <= 0) {
     return Status::InvalidArgument("model has no classification head");
   }
@@ -222,6 +220,9 @@ Status InferenceEngine::Validate(const InferenceRequest& request,
           "request context must be a [dim] embedding (dim " +
           std::to_string(config.encoder.dim) + "), got " +
           ShapeToString(request.context.shape()));
+    }
+    if (!request.context.AllFinite()) {
+      return Status::InvalidArgument("request context has a non-finite value");
     }
     // The context token raises the encoder's sequence length by one, which
     // Linformer's locked length projection cannot absorb.
@@ -525,20 +526,32 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
 
   std::vector<InferenceResponse> responses(static_cast<size_t>(b));
   uint64_t missed_deadlines = 0;
+  uint64_t non_finite = 0;
   for (int64_t i = 0; i < b; ++i) {
     InferenceResponse& response = responses[static_cast<size_t>(i)];
-    response.status = Status::OK();
-    // Row i of the output, with the batch axis dropped.
-    Tensor row = ops::Slice(output, 0, i, 1);
-    Shape row_shape(output.shape().begin() + 1, output.shape().end());
-    response.output = row.Reshape(std::move(row_shape));
-    if (batch[i].request.want_context) {
-      response.context = ops::Slice(cls, 0, i, 1).Reshape({dim});
-    }
-    response.queue_ms = MsSince(batch[i].enqueued) - compute_ms;
     response.compute_ms = compute_ms;
     response.micro_batch = b;
     response.model_id = model_id;
+    // Row i of the output, with the batch axis dropped.
+    Tensor row = ops::Slice(output, 0, i, 1);
+    Shape row_shape(output.shape().begin() + 1, output.shape().end());
+    row = row.Reshape(std::move(row_shape));
+    Tensor context;
+    if (batch[i].request.want_context) {
+      context = ops::Slice(cls, 0, i, 1).Reshape({dim});
+    }
+    // Finite input can still overflow (3e38 does). Rows are independent, so
+    // the rider fails alone and its batch-mates keep their bits; it is never
+    // cached.
+    if (!row.AllFinite() || !context.AllFinite()) {
+      response.status = Status::InvalidArgument("non-finite output");
+      ++non_finite;
+      continue;
+    }
+    response.status = Status::OK();
+    response.output = std::move(row);
+    response.context = std::move(context);
+    response.queue_ms = MsSince(batch[i].enqueued) - compute_ms;
     if (batch[i].request.deadline != kNoDeadline &&
         resolved_at > batch[i].request.deadline) {
       ++missed_deadlines;
@@ -561,10 +574,11 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
   // (the relaxed adds are sequenced before the promise's releasing store).
   {
     const ScopeMetrics& pm = per_model_[static_cast<size_t>(model_id)];
-    pm.completed->Add(static_cast<uint64_t>(b));
+    pm.completed->Add(static_cast<uint64_t>(b) - non_finite);
+    if (non_finite != 0) pm.rejected_invalid->Add(non_finite);
     pm.batches->Add(1);
-    for (int64_t i = 0; i < b; ++i) {
-      pm.queue_ms->Observe(responses[static_cast<size_t>(i)].queue_ms);
+    for (const InferenceResponse& response : responses) {
+      if (response.status.ok()) pm.queue_ms->Observe(response.queue_ms);
     }
     pm.compute_ms->Observe(compute_ms);
     pm.batch_size->Observe(static_cast<double>(b));
@@ -847,7 +861,7 @@ void InferenceEngine::RefreshExportGauges() const {
                 "GEMM-matrix bytes relative to fp32", labels)
         ->Set(model->QuantizedBytesRatio());
     r->GetGauge("rita_model_precision",
-                "Serving weight format (0=fp32, 1=int8, 2=bf16)", labels)
+                "Serving weight format (0=fp32, 2=bf16)", labels)
         ->Set(static_cast<double>(model->precision()));
   }
 }

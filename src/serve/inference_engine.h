@@ -145,7 +145,7 @@ struct InferenceEngineStats {
   // leaves the defaults): the serving weight format, the bytes its weights
   // actually occupy, and the GEMM-matrix footprint relative to fp32
   // (FrozenModel::QuantizedBytesRatio — the metric BENCH_quant gates). A
-  // registry serving `m` next to `m@int8` shows the two variants' footprints
+  // registry serving `m` next to `m@bf16` shows the two variants' footprints
   // side by side here and in bench_table8.
   Precision precision = Precision::kFp32;
   int64_t weight_bytes = 0;
@@ -202,7 +202,8 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// Thread-safe. Invalid requests resolve immediately with a non-OK status;
+  /// Thread-safe. Invalid requests (a NaN or Inf sample among them) resolve
+  /// immediately with a non-OK status;
   /// cache hits resolve immediately with the cached output; admitted
   /// requests resolve when their micro-batch completes. A miss enters the
   /// cache only on its key's second sighting (ResultCache::Admit), so the

@@ -75,11 +75,6 @@ int64_t ModelRegistry::WeightBytes(int64_t id) const {
   return model == nullptr ? 0 : model->WeightBytes();
 }
 
-double ModelRegistry::MemoryScale(int64_t id) const {
-  const FrozenModel* model = Get(id);
-  return model == nullptr ? 1.0 : model->MemoryScale();
-}
-
 const std::string& ModelRegistry::name(int64_t id) const {
   RITA_CHECK_GE(id, 0);
   RITA_CHECK_LT(id, size());

@@ -46,9 +46,8 @@ class ModelRegistry {
   int64_t Register(std::string name, const FrozenModel* model);
 
   /// Registers a reduced-precision variant of `base_name` under the derived
-  /// name `base_name@int8` / `base_name@bf16` (the model's own precision
-  /// picks the suffix; fatal for fp32 — register those under their base
-  /// name). Returns the dense id. Purely a naming convention: the variant is
+  /// name `base_name@bf16` (the model's own precision picks the suffix;
+  /// fatal for fp32 — register those under their base name). Returns the dense id. Purely a naming convention: the variant is
   /// an ordinary entry the engine serves side by side with the base model.
   int64_t RegisterVariant(const std::string& base_name, const FrozenModel* model);
 
@@ -72,10 +71,6 @@ class ModelRegistry {
   /// Serving-path weight bytes of `id`'s model (see
   /// FrozenModel::WeightBytes); 0 for unknown ids.
   int64_t WeightBytes(int64_t id) const;
-
-  /// Planner memory charge of `id`'s model relative to fp32 (see
-  /// FrozenModel::MemoryScale); 1.0 for unknown ids.
-  double MemoryScale(int64_t id) const;
 
   const std::string& name(int64_t id) const;
   int64_t size() const { return static_cast<int64_t>(entries_.size()); }

@@ -28,6 +28,10 @@ Status WindowAssembler::Append(const Tensor& samples) {
         "]" + (options_.channels == 1 ? " or [n]" : "") + ", got " +
         ShapeToString(samples.shape()));
   }
+  if (!samples.AllFinite()) {
+    // Refused whole, before anything is buffered: the session stays usable.
+    return Status::InvalidArgument("appended samples hold a non-finite value");
+  }
   if (options_.max_buffered > 0 && buffered() + n > options_.max_buffered) {
     // All-or-nothing: the caller keeps the chunk and can retry after the
     // stream drains — the streaming analogue of admission backpressure.

@@ -37,7 +37,8 @@ class WindowAssembler {
 
   explicit WindowAssembler(const Options& options);
 
-  /// Ingests a chunk: [n, channels], or [n] when channels == 1 (n >= 0).
+  /// Ingests a chunk: [n, channels], or [n] when channels == 1 (n >= 0). A
+  /// chunk holding NaN or Inf is refused whole with kInvalidArgument.
   Status Append(const Tensor& samples);
 
   /// True when a full hop-aligned window is buffered.

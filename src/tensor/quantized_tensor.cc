@@ -1,6 +1,5 @@
 #include "tensor/quantized_tensor.h"
 
-#include <cmath>
 #include <cstring>
 
 #include "util/check.h"
@@ -11,8 +10,6 @@ const char* PrecisionName(Precision precision) {
   switch (precision) {
     case Precision::kFp32:
       return "fp32";
-    case Precision::kInt8:
-      return "int8";
     case Precision::kBf16:
       return "bf16";
   }
@@ -35,55 +32,11 @@ float Bf16ToFloat(uint16_t value) {
   return out;
 }
 
-QuantizedTensor QuantizedTensor::QuantizeInt8(const Tensor& weight) {
-  RITA_CHECK_EQ(weight.dim(), 2) << "int8 quantization expects a [in, out] matrix";
-  const int64_t rows = weight.size(0);
-  const int64_t cols = weight.size(1);
-  QuantizedTensor q(Precision::kInt8, rows, cols);
-  q.int8_.resize(static_cast<size_t>(rows * cols));
-  q.scales_.assign(static_cast<size_t>(cols), 0.0f);
-  q.col_sums_.assign(static_cast<size_t>(cols), 0);
-  const float* w = weight.data();
-
-  // Per-output-channel symmetric range: scale_j = max_k |w[k][j]| / 127.
-  // Payload clamped to [-127, 127] (never -128) so the AVX2 maddubs path's
-  // u8[0,127] x s8 pair sums stay below the i16 saturation bound.
-  std::vector<float> amax(static_cast<size_t>(cols), 0.0f);
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* wrow = w + r * cols;
-    for (int64_t j = 0; j < cols; ++j) {
-      amax[static_cast<size_t>(j)] =
-          std::max(amax[static_cast<size_t>(j)], std::fabs(wrow[j]));
-    }
-  }
-  std::vector<float> inv(static_cast<size_t>(cols), 0.0f);
-  for (int64_t j = 0; j < cols; ++j) {
-    const float m = amax[static_cast<size_t>(j)];
-    if (m > 0.0f) {
-      q.scales_[static_cast<size_t>(j)] = m / 127.0f;
-      inv[static_cast<size_t>(j)] = 127.0f / m;
-    }
-    // All-zero column: scale stays 0, payload stays 0, dequantizes to 0.
-  }
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* wrow = w + r * cols;
-    int8_t* qrow = q.int8_.data() + r * cols;
-    for (int64_t j = 0; j < cols; ++j) {
-      const float scaled = wrow[j] * inv[static_cast<size_t>(j)];
-      const float clamped = std::min(127.0f, std::max(-127.0f, scaled));
-      const int32_t v = static_cast<int32_t>(std::nearbyintf(clamped));
-      qrow[j] = static_cast<int8_t>(v);
-      q.col_sums_[static_cast<size_t>(j)] += v;
-    }
-  }
-  return q;
-}
-
 QuantizedTensor QuantizedTensor::QuantizeBf16(const Tensor& weight) {
   RITA_CHECK_EQ(weight.dim(), 2) << "bf16 quantization expects a [in, out] matrix";
   const int64_t rows = weight.size(0);
   const int64_t cols = weight.size(1);
-  QuantizedTensor q(Precision::kBf16, rows, cols);
+  QuantizedTensor q(rows, cols);
   q.bf16_.resize(static_cast<size_t>(rows * cols));
   const float* w = weight.data();
   for (int64_t i = 0; i < rows * cols; ++i) q.bf16_[static_cast<size_t>(i)] = Bf16FromFloat(w[i]);
@@ -91,56 +44,18 @@ QuantizedTensor QuantizedTensor::QuantizeBf16(const Tensor& weight) {
 }
 
 int64_t QuantizedTensor::WeightBytes() const {
-  switch (precision_) {
-    case Precision::kInt8:
-      return static_cast<int64_t>(int8_.size() * sizeof(int8_t) +
-                                  scales_.size() * sizeof(float) +
-                                  col_sums_.size() * sizeof(int32_t));
-    case Precision::kBf16:
-      return static_cast<int64_t>(bf16_.size() * sizeof(uint16_t));
-    case Precision::kFp32:
-      break;
-  }
-  return rows_ * cols_ * static_cast<int64_t>(sizeof(float));
+  return static_cast<int64_t>(bf16_.size() * sizeof(uint16_t));
 }
 
 Tensor QuantizedTensor::Dequantize() const {
   Tensor out({rows_, cols_});
   float* o = out.data();
-  if (precision_ == Precision::kInt8) {
-    for (int64_t r = 0; r < rows_; ++r) {
-      const int8_t* qrow = int8_.data() + r * cols_;
-      float* orow = o + r * cols_;
-      for (int64_t j = 0; j < cols_; ++j) {
-        orow[j] = static_cast<float>(qrow[j]) * scales_[static_cast<size_t>(j)];
-      }
-    }
-  } else {
-    for (int64_t i = 0; i < rows_ * cols_; ++i) {
-      o[i] = Bf16ToFloat(bf16_[static_cast<size_t>(i)]);
-    }
+  for (int64_t i = 0; i < rows_ * cols_; ++i) {
+    o[i] = Bf16ToFloat(bf16_[static_cast<size_t>(i)]);
   }
   return out;
 }
 
-const int8_t* QuantizedTensor::int8_data() const {
-  RITA_CHECK(precision_ == Precision::kInt8);
-  return int8_.data();
-}
-
-const float* QuantizedTensor::scales() const {
-  RITA_CHECK(precision_ == Precision::kInt8);
-  return scales_.data();
-}
-
-const int32_t* QuantizedTensor::col_sums() const {
-  RITA_CHECK(precision_ == Precision::kInt8);
-  return col_sums_.data();
-}
-
-const uint16_t* QuantizedTensor::bf16_data() const {
-  RITA_CHECK(precision_ == Precision::kBf16);
-  return bf16_.data();
-}
+const uint16_t* QuantizedTensor::bf16_data() const { return bf16_.data(); }
 
 }  // namespace rita

@@ -1,17 +1,10 @@
 // Reduced-precision weight storage for the frozen serving path. A
 // QuantizedTensor is produced once at freeze time from a 2-D fp32 weight
-// matrix [in, out] and is immutable afterwards:
-//
-//   kInt8: symmetric per-output-channel quantization — one fp32 scale per
-//     column j (scale_j = max_k |w[k][j]| / 127), payload int8 in [-127, 127]
-//     row-major [in, out], plus the per-column int32 payload sums the int8
-//     GEMM's activation-zero-point correction needs. ~0.25x the fp32 bytes.
-//   kBf16: round-to-nearest-even truncation of each fp32 value to its upper
-//     16 bits (bfloat16), widened back in-register by the GEMM. 0.5x bytes.
-//
-// The matching GEMM micro-kernels live in src/linalg/kernels/ (gemm_i8 /
-// gemm_bf16); nn::Linear routes grad-free forwards through them when a
-// frozen quantized weight is attached.
+// matrix [in, out] and is immutable afterwards: each fp32 value is
+// round-to-nearest-even truncated to its upper 16 bits (bfloat16), 0.5x the
+// fp32 bytes, and widened back in-register by the kernel table's gemm_bf16.
+// nn::Linear routes grad-free forwards through that GEMM when a frozen
+// quantized weight is attached.
 #ifndef RITA_TENSOR_QUANTIZED_TENSOR_H_
 #define RITA_TENSOR_QUANTIZED_TENSOR_H_
 
@@ -23,8 +16,9 @@
 namespace rita {
 
 /// Serving precision of a frozen weight set. kFp32 means "no quantization":
-/// the untouched fp32 path, still covered by the bitwise CI gates.
-enum class Precision { kFp32 = 0, kInt8 = 1, kBf16 = 2 };
+/// the untouched fp32 path, still covered by the bitwise CI gates. The values
+/// are the wire byte and the rita_model_precision gauge; 1 stays unused.
+enum class Precision { kFp32 = 0, kBf16 = 2 };
 
 const char* PrecisionName(Precision precision);
 
@@ -35,44 +29,25 @@ float Bf16ToFloat(uint16_t value);
 
 class QuantizedTensor {
  public:
-  /// Symmetric per-output-channel int8 quantization of `weight` [in, out].
-  static QuantizedTensor QuantizeInt8(const Tensor& weight);
   /// bf16 truncation of `weight` [in, out].
   static QuantizedTensor QuantizeBf16(const Tensor& weight);
 
-  Precision precision() const { return precision_; }
   int64_t rows() const { return rows_; }  // in_features (contraction dim)
   int64_t cols() const { return cols_; }  // out_features (output channels)
 
-  /// Bytes this representation actually occupies on the serving path
-  /// (payload + per-channel scales + correction sums).
+  /// Bytes this representation actually occupies on the serving path.
   int64_t WeightBytes() const;
 
   /// fp32 reconstruction (tests / accuracy analysis, not the serving path).
   Tensor Dequantize() const;
 
-  // -- int8 accessors (RITA_CHECKed to the matching precision) --------------
-  const int8_t* int8_data() const;
-  /// Per-output-channel dequantization scales [cols]; 0 for all-zero columns
-  /// (whose payload is all zero, so the column dequantizes to exact 0).
-  const float* scales() const;
-  /// Per-column payload sums [cols]: col_sums[j] = sum_k q[k][j], consumed by
-  /// the int8 GEMM's activation zero-point correction.
-  const int32_t* col_sums() const;
-
-  // -- bf16 accessor ---------------------------------------------------------
   const uint16_t* bf16_data() const;
 
  private:
-  QuantizedTensor(Precision precision, int64_t rows, int64_t cols)
-      : precision_(precision), rows_(rows), cols_(cols) {}
+  QuantizedTensor(int64_t rows, int64_t cols) : rows_(rows), cols_(cols) {}
 
-  Precision precision_;
   int64_t rows_, cols_;
-  std::vector<int8_t> int8_;      // [rows, cols] row-major (kInt8)
-  std::vector<float> scales_;     // [cols]                 (kInt8)
-  std::vector<int32_t> col_sums_; // [cols]                 (kInt8)
-  std::vector<uint16_t> bf16_;    // [rows, cols] row-major (kBf16)
+  std::vector<uint16_t> bf16_;  // [rows, cols] row-major
 };
 
 }  // namespace rita

@@ -1,6 +1,7 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 namespace rita {
@@ -156,6 +157,19 @@ bool Tensor::AllClose(const Tensor& other, float rtol, float atol) const {
     if (std::isnan(a[i]) != std::isnan(b[i])) return false;
   }
   return true;
+}
+
+bool Tensor::AllFinite() const {
+  const float* p = defined() ? data() : nullptr;
+  // An all-ones exponent is Inf or NaN. Integer ops only, so the OR-reduction
+  // vectorizes without reassociating any float arithmetic.
+  uint32_t non_finite = 0;
+  for (int64_t i = 0; i < numel_; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, p + i, sizeof(bits));
+    non_finite |= static_cast<uint32_t>((bits & 0x7F800000u) == 0x7F800000u);
+  }
+  return non_finite == 0;
 }
 
 std::string Tensor::ToString(int64_t max_items) const {

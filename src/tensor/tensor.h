@@ -87,6 +87,9 @@ class Tensor {
   /// True when shapes match and |a-b| <= atol + rtol*|b| elementwise.
   bool AllClose(const Tensor& other, float rtol = 1e-4f, float atol = 1e-5f) const;
 
+  /// True when no element is NaN or +-Inf (an undefined tensor is finite).
+  bool AllFinite() const;
+
   /// Debug rendering (truncated for large tensors).
   std::string ToString(int64_t max_items = 32) const;
 

@@ -174,40 +174,6 @@ TEST(AdaptivePlannerTest, ForwardOnlyCeilingExceedsTrainingPlan) {
             seed.PredictBatchSize(kLength, kGroups));
 }
 
-// A reduced-precision variant registers a per-model memory scale; the
-// ceiling probe widens accordingly: scale 0.5 (int8) must lift the ceiling
-// to >= 1.5x the fp32 one (it roughly doubles, modulo probe granularity)
-// while other models and the model-blind overload stay put — and a scale
-// registered after traffic began re-probes the live buckets.
-TEST(AdaptivePlannerTest, ModelMemoryScaleLiftsSafetyCeiling) {
-  core::MemoryModel memory = TightMemoryModel(4);
-  core::BatchPlanner seed(memory, SeedOptions());
-  Rng rng(31);
-  seed.Calibrate(&rng);
-  AdaptivePlanner planner(&seed);
-
-  const int64_t fp32_ceiling = planner.SafetyCeiling(0, kLength, kGroups);
-  EXPECT_EQ(planner.ModelMemoryScale(1), 1.0);
-  planner.SetModelMemoryScale(1, 0.5);
-  EXPECT_EQ(planner.ModelMemoryScale(1), 0.5);
-  const int64_t int8_ceiling = planner.SafetyCeiling(1, kLength, kGroups);
-  EXPECT_GE(2 * int8_ceiling, 3 * fp32_ceiling)
-      << "halving the per-sample charge must lift the ceiling >= 1.5x";
-  EXPECT_EQ(planner.SafetyCeiling(0, kLength, kGroups), fp32_ceiling);
-  EXPECT_EQ(planner.SafetyCeiling(kLength, kGroups), fp32_ceiling);
-
-  // Late registration: model 2's bucket forms at the default charge, then
-  // the scale arrives and the bucket's ceiling rises in place.
-  for (int i = 0; i < 10; ++i) {
-    planner.Observe(Sample(2 + i % 3, 1.0, 0, /*model_id=*/2));
-  }
-  const AdaptivePlanner::Snapshot before = planner.ModelSnapshot(2);
-  ASSERT_GT(before.ceiling, 0);
-  planner.SetModelMemoryScale(2, 0.5);
-  const AdaptivePlanner::Snapshot after = planner.ModelSnapshot(2);
-  EXPECT_GT(after.ceiling, before.ceiling);
-}
-
 TEST(AdaptivePlannerTest, ConvergesTowardSyntheticCostModel) {
   core::MemoryModel memory = TightMemoryModel(4);
   core::BatchPlanner seed(memory, SeedOptions());

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "dist/router.h"
 #include "dist/serde.h"
 #include "dist/transport.h"
+#include "linalg/kernels/kernels.h"
 #include "serve/client.h"
 #include "serve/frozen_model.h"
 #include "serve/inference_engine.h"
@@ -255,8 +257,8 @@ TEST(DistSerdeTest, ModelSetRoundTrips) {
   m.weight_bytes = 12345;
   m.num_groups = 4;
   models.push_back(m);
-  m.name = "rita-int8";
-  m.precision = Precision::kInt8;
+  m.name = "rita-bf16";
+  m.precision = Precision::kBf16;
   models.push_back(m);
 
   WireWriter w;
@@ -268,8 +270,36 @@ TEST(DistSerdeTest, ModelSetRoundTrips) {
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].name, "rita-group-4");
   EXPECT_EQ(decoded[0].fingerprint, 0xdeadbeefcafef00dull);
-  EXPECT_EQ(decoded[1].precision, Precision::kInt8);
+  EXPECT_EQ(decoded[1].precision, Precision::kBf16);
   EXPECT_EQ(decoded[1].num_groups, 4);
+}
+
+// Byte 1 named the retired int8 variant; a peer that still sends it gets a
+// typed rejection, while 0 (fp32) and 2 (bf16) keep their meaning.
+TEST(DistSerdeTest, ModelSetRejectsRetiredPrecisionByte) {
+  for (const uint8_t precision : {0, 1, 2, 3}) {
+    WireWriter w;
+    w.U32(1);
+    w.Str("m");
+    w.U64(0x1234);
+    w.U8(precision);
+    w.I64(100);
+    w.I64(4);
+    WireReader r(w.buffer());
+    std::vector<serve::ModelInfo> decoded;
+    const Status status = DecodeModelSet(&r, &decoded);
+    if (precision == 0 || precision == 2) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      ASSERT_EQ(decoded.size(), 1u);
+      EXPECT_EQ(static_cast<uint8_t>(decoded[0].precision), precision);
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("unknown precision " +
+                                      std::to_string(precision)),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 TEST(DistSerdeTest, GarbageBytesNeverCrashDecoders) {
@@ -694,6 +724,52 @@ TEST(ClientConformanceTest, LocalAndRemoteBackendsAreBitIdentical) {
 
   remote.Shutdown();
   local.Shutdown();
+}
+
+// NaN and Inf samples get the same typed rejection through a local engine
+// and through a replica behind the router, on either kernel backend; the
+// replica keeps serving finite requests afterwards.
+TEST(ClientConformanceTest, NonFiniteRequestsAreTypedThroughEveryBackend) {
+  const kernels::Backend restore = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) backends.push_back(kernels::Backend::kSimd);
+  model::RitaConfig config = SmallConfig();
+  Rng rng(79);
+  model::RitaModel source(config, &rng);
+  for (kernels::Backend backend : backends) {
+    kernels::SetBackendForTesting(backend);
+    serve::FrozenModel frozen(source);
+    serve::InferenceEngine engine(&frozen, serve::InferenceEngineOptions{});
+    serve::LocalClient local(&engine);
+    Replica replica = MakeReplica(source);
+    Router router;
+    router.AddReplica("127.0.0.1", replica.server->port());
+    ASSERT_TRUE(router.Start().ok());
+    RemoteClient remote(&router);
+    for (serve::Client* client : {static_cast<serve::Client*>(&local),
+                                  static_cast<serve::Client*>(&remote)}) {
+      for (const float poison : {std::nanf(""), INFINITY}) {
+        serve::InferenceRequest request;
+        request.series = MakeSeries(60, 2, 400);
+        request.series.data()[17] = poison;
+        const serve::InferenceResponse response =
+            client->SubmitAndWait(std::move(request));
+        EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+            << kernels::BackendName(backend) << " " << poison << ": "
+            << response.status.ToString();
+        EXPECT_FALSE(response.output.defined());
+      }
+      serve::InferenceRequest finite;
+      finite.series = MakeSeries(60, 2, 400);
+      const serve::InferenceResponse ok = client->SubmitAndWait(std::move(finite));
+      EXPECT_TRUE(ok.status.ok()) << ok.status.ToString();
+    }
+    EXPECT_EQ(replica.engine->stats().rejected_invalid, 2u);
+    EXPECT_EQ(engine.stats().rejected_invalid, 2u);
+    remote.Shutdown();
+    local.Shutdown();
+  }
+  kernels::SetBackendForTesting(restore);
 }
 
 TEST(RouterTest, RoutingIsStickyAndSpreadsAcrossReplicas) {

@@ -475,38 +475,28 @@ TEST_F(RowParallelTest, LinearBackwardMatchesTheMatMulChain) {
 TEST_F(RowParallelTest, QuantizedLinearMatchesWholeMatrixKernelPlusBias) {
   for (kernels::Backend backend : Backends()) {
     kernels::SetBackendForTesting(backend);
-    for (Precision precision : {Precision::kInt8, Precision::kBf16}) {
-      for (Shape in_shape : {Shape{41, 24}, Shape{2, 9, 24}, Shape{4016, 24}}) {
-        Rng rng(23);
-        Linear lin(24, 20, &rng);
-        RandomizeBias(&lin, &rng);
-        const Tensor w = lin.weight().data();
-        const QuantizedTensor q = precision == Precision::kInt8
-                                      ? QuantizedTensor::QuantizeInt8(w)
-                                      : QuantizedTensor::QuantizeBf16(w);
-        lin.SetQuantizedWeight(&q);
-        const Tensor x = Tensor::RandNormal(in_shape, &rng);
-        const int64_t rows = x.numel() / 24;
-        Shape out_shape = in_shape;
-        out_shape.back() = 20;
-        Tensor want(out_shape);
-        const kernels::KernelTable& kt = kernels::Active();
-        if (precision == Precision::kInt8) {
-          kt.gemm_i8(x.data(), q.int8_data(), q.scales(), q.col_sums(), want.data(), rows,
-                     20, 24, 0, rows);
-        } else {
-          kt.gemm_bf16(x.data(), q.bf16_data(), want.data(), rows, 20, 24, 0, rows);
-        }
-        want = ops::Add(want, lin.bias().data());
-        const std::string what = std::string(kernels::BackendName(backend)) + " " +
-                                 PrecisionName(precision) + " " + ShapeToString(in_shape);
-        // Training forwards ignore the attached weight.
-        EXPECT_TRUE(BitEqual(lin.Forward(ag::Variable(x, true)).data(),
-                             ChainForward(&lin, ag::Variable(x)).data()))
-            << what;
-        ag::NoGradGuard guard;
-        EXPECT_TRUE(BitEqual(lin.Forward(ag::Variable(x)).data(), want)) << what;
-      }
+    for (Shape in_shape : {Shape{41, 24}, Shape{2, 9, 24}, Shape{4016, 24}}) {
+      Rng rng(23);
+      Linear lin(24, 20, &rng);
+      RandomizeBias(&lin, &rng);
+      const QuantizedTensor q = QuantizedTensor::QuantizeBf16(lin.weight().data());
+      lin.SetQuantizedWeight(&q);
+      const Tensor x = Tensor::RandNormal(in_shape, &rng);
+      const int64_t rows = x.numel() / 24;
+      Shape out_shape = in_shape;
+      out_shape.back() = 20;
+      Tensor want(out_shape);
+      kernels::Active().gemm_bf16(x.data(), q.bf16_data(), want.data(), rows, 20, 24, 0,
+                                  rows);
+      want = ops::Add(want, lin.bias().data());
+      const std::string what =
+          std::string(kernels::BackendName(backend)) + " " + ShapeToString(in_shape);
+      // Training forwards ignore the attached weight.
+      EXPECT_TRUE(BitEqual(lin.Forward(ag::Variable(x, true)).data(),
+                           ChainForward(&lin, ag::Variable(x)).data()))
+          << what;
+      ag::NoGradGuard guard;
+      EXPECT_TRUE(BitEqual(lin.Forward(ag::Variable(x)).data(), want)) << what;
     }
   }
 }

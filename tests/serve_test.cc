@@ -867,30 +867,20 @@ TEST(QuantizedServingTest, VariantsShrinkWeightsAndPassAccuracyGate) {
   Rng rng(61);
   model::RitaModel source(config, &rng);
   FrozenModel fp32(source);
-  FrozenModel int8(source, Precision::kInt8);
   FrozenModel bf16(source, Precision::kBf16);
 
   EXPECT_EQ(fp32.precision(), Precision::kFp32);
-  EXPECT_EQ(int8.precision(), Precision::kInt8);
   EXPECT_EQ(bf16.precision(), Precision::kBf16);
 
-  // Footprint: int8 payload is 0.25x, plus 8 bytes/column of scale +
-  // correction overhead = 0.25 + 2/k — this tiny config (k = 16/32) sits
-  // near 0.36; the bench gates <= 0.30 at realistic dims. bf16 is exactly
-  // 0.5x; total serving bytes stay strictly ordered.
+  // Footprint: bf16 is exactly 0.5x on the GEMM matrices; total serving
+  // bytes shrink.
   EXPECT_EQ(fp32.QuantizedBytesRatio(), 1.0);
-  EXPECT_LT(int8.QuantizedBytesRatio(), 0.40);
   EXPECT_EQ(bf16.QuantizedBytesRatio(), 0.5);
-  EXPECT_LT(int8.WeightBytes(), bf16.WeightBytes());
   EXPECT_LT(bf16.WeightBytes(), fp32.WeightBytes());
-  EXPECT_EQ(fp32.MemoryScale(), 1.0);
-  EXPECT_EQ(int8.MemoryScale(), 0.5);
 
   // Variants compute different functions: fingerprints must separate so the
   // result cache can never alias them; the fp32 freeze stays reproducible.
-  EXPECT_NE(fp32.Fingerprint(), int8.Fingerprint());
   EXPECT_NE(fp32.Fingerprint(), bf16.Fingerprint());
-  EXPECT_NE(int8.Fingerprint(), bf16.Fingerprint());
   EXPECT_EQ(fp32.Fingerprint(), FrozenModel(source).Fingerprint());
 
   // The fp32 variant is bit-for-bit the pre-quantization serving path.
@@ -899,39 +889,35 @@ TEST(QuantizedServingTest, VariantsShrinkWeightsAndPassAccuracyGate) {
   EXPECT_TRUE(BitEqual(FrozenModel(source).ClassLogits(batch),
                        fp32.ClassLogits(batch)));
 
-  // Accuracy-delta gate: both reduced-precision variants agree with fp32 on
-  // >= 99% of argmax decisions and reconstruct at most 5% worse.
-  for (const FrozenModel* variant : {&int8, &bf16}) {
-    AccuracyDeltaReport report;
-    const Status verdict = CheckAccuracyDelta(fp32, *variant, batch, {}, &report);
-    EXPECT_TRUE(verdict.ok())
-        << PrecisionName(variant->precision()) << ": " << verdict.ToString();
-    EXPECT_GE(report.classification_agreement, 0.99);
-    EXPECT_LE(report.reconstruction_mse_ratio, 1.05);
-  }
+  // Accuracy-delta gate: the bf16 variant agrees with fp32 on >= 99% of
+  // argmax decisions and reconstructs at most 5% worse.
+  AccuracyDeltaReport report;
+  const Status verdict = CheckAccuracyDelta(fp32, bf16, batch, {}, &report);
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+  EXPECT_GE(report.classification_agreement, 0.99);
+  EXPECT_LE(report.reconstruction_mse_ratio, 1.05);
 
   // A sanity bound the gate itself enforces elsewhere: quantization DID
   // change the bits (this is not secretly the fp32 path).
-  EXPECT_FALSE(BitEqual(fp32.ClassLogits(batch), int8.ClassLogits(batch)));
+  EXPECT_FALSE(BitEqual(fp32.ClassLogits(batch), bf16.ClassLogits(batch)));
 }
 
-// Per-row dynamic activation quantization keeps the batch-position invariance
-// micro-batching relies on, and the quantized Linear forwards are pool-width
-// invariant — so batched, solo and wide-pool forwards agree bitwise.
+// The bf16 Linear forwards are row-independent and pool-width invariant, so
+// batched, solo and wide-pool forwards agree bitwise.
 TEST(QuantizedServingTest, QuantizedForwardsAreBatchAndPoolWidthInvariant) {
   model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
   Rng rng(63);
   model::RitaModel source(config, &rng);
-  FrozenModel int8(source, Precision::kInt8);
+  FrozenModel bf16(source, Precision::kBf16);
 
   const int64_t b = 4, t = 60, c = 2;
   Rng data_rng(64);
   Tensor batch = Tensor::RandNormal({b, t, c}, &data_rng);
-  Tensor batched = int8.ClassLogits(batch);
+  Tensor batched = bf16.ClassLogits(batch);
   for (int64_t i = 0; i < b; ++i) {
     Tensor row({1, t, c});
     std::memcpy(row.data(), batch.data() + i * t * c, sizeof(float) * t * c);
-    Tensor solo = int8.ClassLogits(row);
+    Tensor solo = bf16.ClassLogits(row);
     EXPECT_EQ(std::memcmp(batched.data() + i * batched.size(1), solo.data(),
                           sizeof(float) * batched.size(1)),
               0)
@@ -940,7 +926,7 @@ TEST(QuantizedServingTest, QuantizedForwardsAreBatchAndPoolWidthInvariant) {
 
   ThreadPool pool(16);  // 16 > B*H = 8: the narrow group-attention path
   ExecutionContext exec(&pool);
-  Tensor wide = int8.ClassLogits(batch, nullptr, nullptr, &exec);
+  Tensor wide = bf16.ClassLogits(batch, nullptr, nullptr, &exec);
   EXPECT_TRUE(BitEqual(batched, wide));
 }
 
@@ -949,22 +935,20 @@ TEST(QuantizedServingTest, RegistryServesVariantsSideBySide) {
   Rng rng(65);
   model::RitaModel source(config, &rng);
   FrozenModel fp32(source);
-  FrozenModel int8(source, Precision::kInt8);
+  FrozenModel bf16(source, Precision::kBf16);
 
   ModelRegistry registry;
   const int64_t fp32_id = registry.Register("m", &fp32);
-  const int64_t int8_id = registry.RegisterVariant("m", &int8);
+  const int64_t bf16_id = registry.RegisterVariant("m", &bf16);
   EXPECT_EQ(registry.Find("m"), fp32_id);
-  EXPECT_EQ(registry.Find("m@int8"), int8_id);
-  EXPECT_EQ(registry.PrecisionOf(int8_id), Precision::kInt8);
-  EXPECT_EQ(registry.WeightBytes(int8_id), int8.WeightBytes());
-  EXPECT_EQ(registry.MemoryScale(int8_id), 0.5);
-  EXPECT_EQ(registry.MemoryScale(fp32_id), 1.0);
+  EXPECT_EQ(registry.Find("m@bf16"), bf16_id);
+  EXPECT_EQ(registry.PrecisionOf(bf16_id), Precision::kBf16);
+  EXPECT_EQ(registry.WeightBytes(bf16_id), bf16.WeightBytes());
 
   InferenceEngineOptions options;
   options.cache_bytes = 0;
   InferenceEngine engine(&registry, options);
-  for (int64_t id : {fp32_id, int8_id}) {
+  for (int64_t id : {fp32_id, bf16_id}) {
     InferenceRequest request;
     request.series = MakeSeries(60, 2, 900);
     request.model_id = id;
@@ -974,13 +958,152 @@ TEST(QuantizedServingTest, RegistryServesVariantsSideBySide) {
   }
   // Per-variant identity surfaces through model_stats.
   const InferenceEngineStats fp32_stats = engine.model_stats(fp32_id);
-  const InferenceEngineStats int8_stats = engine.model_stats(int8_id);
+  const InferenceEngineStats bf16_stats = engine.model_stats(bf16_id);
   EXPECT_EQ(fp32_stats.precision, Precision::kFp32);
-  EXPECT_EQ(int8_stats.precision, Precision::kInt8);
-  EXPECT_EQ(int8_stats.weight_bytes, int8.WeightBytes());
-  EXPECT_LT(int8_stats.weight_bytes, fp32_stats.weight_bytes);
-  EXPECT_LT(int8_stats.weight_bytes_ratio, 0.40);  // tiny dims; see above
+  EXPECT_EQ(bf16_stats.precision, Precision::kBf16);
+  EXPECT_EQ(bf16_stats.weight_bytes, bf16.WeightBytes());
+  EXPECT_LT(bf16_stats.weight_bytes, fp32_stats.weight_bytes);
+  EXPECT_EQ(bf16_stats.weight_bytes_ratio, 0.5);
   EXPECT_EQ(fp32_stats.weight_bytes_ratio, 1.0);
+}
+
+// The int8 variant is gone: its name resolves to no model, and a client
+// that still routes to it gets the typed unknown-model rejection.
+TEST(QuantizedServingTest, RetiredInt8VariantIsAnUnknownModel) {
+  model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
+  Rng rng(66);
+  model::RitaModel source(config, &rng);
+  FrozenModel fp32(source);
+  FrozenModel bf16(source, Precision::kBf16);
+  ModelRegistry registry;
+  registry.Register("m", &fp32);
+  registry.RegisterVariant("m", &bf16);
+  const int64_t int8_id = registry.Find("m@int8");
+  EXPECT_EQ(int8_id, -1);
+
+  InferenceEngine engine(&registry, InferenceEngineOptions{});
+  InferenceRequest request;
+  request.series = MakeSeries(60, 2, 901);
+  request.model_id = int8_id;
+  const InferenceResponse response = engine.Run(std::move(request));
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status.message().find("unknown model_id"), std::string::npos)
+      << response.status.ToString();
+  EXPECT_EQ(engine.stats().rejected_invalid, 1u);
+  EXPECT_EQ(engine.stats().completed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite data
+// ---------------------------------------------------------------------------
+
+// NaN and Inf samples (and context values) get a typed rejection at
+// admission on either kernel backend; nothing is computed or cached, and
+// the engine keeps serving finite requests.
+TEST(NonFiniteTest, NonFiniteRequestsAreRejectedOnBothBackends) {
+  const kernels::Backend restore = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) backends.push_back(kernels::Backend::kSimd);
+  model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
+  Rng rng(67);
+  model::RitaModel source(config, &rng);
+  FrozenModel frozen(source);
+  for (kernels::Backend backend : backends) {
+    kernels::SetBackendForTesting(backend);
+    InferenceEngine engine(&frozen, InferenceEngineOptions{});
+    uint64_t rejected = 0;
+    for (const float poison : {std::nanf(""), INFINITY, -INFINITY}) {
+      for (int64_t at : {int64_t{0}, int64_t{59 * 2 + 1}}) {
+        InferenceRequest request;
+        request.series = MakeSeries(60, 2, 902);
+        request.series.data()[at] = poison;
+        const InferenceResponse response = engine.Run(std::move(request));
+        EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+            << kernels::BackendName(backend) << " " << poison << " at " << at;
+        EXPECT_FALSE(response.output.defined());
+        ++rejected;
+      }
+      InferenceRequest with_context;
+      with_context.series = MakeSeries(60, 2, 903);
+      with_context.context = Tensor::Zeros({config.encoder.dim});
+      with_context.context.data()[3] = poison;
+      EXPECT_EQ(engine.Run(std::move(with_context)).status.code(),
+                StatusCode::kInvalidArgument);
+      ++rejected;
+    }
+    InferenceRequest finite;
+    finite.series = MakeSeries(60, 2, 902);
+    const InferenceResponse ok = engine.Run(std::move(finite));
+    ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+    EXPECT_TRUE(ok.output.AllFinite());
+    const InferenceEngineStats stats = engine.stats();
+    EXPECT_EQ(stats.rejected_invalid, rejected) << kernels::BackendName(backend);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(CacheInsertions(engine), 0u);
+  }
+  kernels::SetBackendForTesting(restore);
+}
+
+// A finite input of 3e38 overflows inside the forward. Its rider fails
+// alone with a typed error and is never cached, even on the second sighting
+// that would insert it; its batch-mates keep the bits of their solo forwards.
+TEST(NonFiniteTest, OverflowingRiderFailsAloneAndIsNeverCached) {
+  model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
+  Rng rng(68);
+  model::RitaModel source(config, &rng);
+  FrozenModel frozen(source);
+  const Tensor huge = Tensor::Full({60, 2}, 3e38f);
+  ASSERT_TRUE(huge.AllFinite());
+  ASSERT_FALSE(frozen.ClassLogits(huge.Reshape({1, 60, 2})).AllFinite())
+      << "the probe input no longer overflows; pick a larger one";
+
+  InferenceEngineOptions options;
+  options.num_workers = 1;
+  options.max_micro_batch = 8;
+  options.start_paused = true;
+  InferenceEngine engine(&frozen, options);
+  auto submit = [&](const Tensor& series) {
+    InferenceRequest request;
+    request.series = series.Clone();
+    return engine.Submit(std::move(request));
+  };
+
+  // First sighting of the overflowing key, alone in its batch.
+  auto first = submit(huge);
+  engine.Resume();
+  EXPECT_EQ(first.get().status.code(), StatusCode::kInvalidArgument);
+
+  // Second sighting, riding between two finite requests.
+  engine.Pause();
+  const Tensor a = MakeSeries(60, 2, 904), b = MakeSeries(60, 2, 905);
+  auto fa = submit(a);
+  auto fh = submit(huge);
+  auto fb = submit(b);
+  engine.Resume();
+  const InferenceResponse ra = fa.get(), rh = fh.get(), rb = fb.get();
+  EXPECT_EQ(rh.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rh.status.message(), "non-finite output");
+  EXPECT_FALSE(rh.output.defined());
+  ASSERT_TRUE(ra.status.ok()) << ra.status.ToString();
+  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
+  EXPECT_EQ(ra.micro_batch, 3);
+  EXPECT_EQ(rh.micro_batch, 3);
+  EXPECT_TRUE(BitEqual(ra.output,
+                       frozen.ClassLogits(a.Reshape({1, 60, 2})).Reshape({4})));
+  EXPECT_TRUE(BitEqual(rb.output,
+                       frozen.ClassLogits(b.Reshape({1, 60, 2})).Reshape({4})));
+  EXPECT_EQ(CacheInsertions(engine), 0u) << "a non-finite output was cached";
+
+  // Third sighting: still computed, still rejected, never a cached OK.
+  const InferenceResponse third = submit(huge).get();
+  EXPECT_EQ(third.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(third.cache_hit);
+
+  const InferenceEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.rejected_invalid, 3u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.batches, 3u);
 }
 
 }  // namespace

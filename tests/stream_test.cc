@@ -371,6 +371,49 @@ TEST(StreamSessionTest, ContextCarryMatchesManualClsChain) {
   }
 }
 
+// A NaN or Inf chunk mid-stream is refused whole before anything is
+// buffered, and the session keeps serving: every later window, the padded
+// tail included, is bitwise the clean stream's. Window k + 1 reads window
+// k's carried [CLS], so equal logits also show that the carried context
+// stayed the clean, finite one.
+TEST(StreamSessionTest, NonFiniteChunkIsRefusedAndSessionKeepsServing) {
+  Rig rig;
+  StreamOptions options;
+  options.task = StreamTask::kClassify;
+  options.window_length = 60;
+  options.hop = 30;
+  options.carry_context = true;
+  const int64_t n = 150, c = 2, chunk = 7;
+  const Tensor series = MakeSeries(n, c, 9);
+  const StreamRun clean = FeedSeries(rig.manager.get(), options, series, chunk);
+
+  const int64_t id = rig.manager->Open(options).ValueOrDie();
+  StreamSession* session = rig.manager->Find(id);
+  for (int64_t at = 0; at < n; at += chunk) {
+    if (at == 49) {  // mid-stream: one window emitted, the next half-buffered
+      for (const float poison : {std::nanf(""), INFINITY}) {
+        Tensor bad = SliceRows(series, at, chunk);
+        bad.data()[3] = poison;
+        const StreamStats before = session->stats();
+        EXPECT_EQ(rig.manager->Append(id, bad).code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(session->stats().samples_ingested, before.samples_ingested);
+        EXPECT_EQ(session->stats().samples_buffered, before.samples_buffered);
+      }
+    }
+    ASSERT_TRUE(rig.manager->Append(id, SliceRows(series, at, std::min(chunk, n - at)))
+                    .ok());
+  }
+  ASSERT_TRUE(rig.manager->Close(id).ok());
+  const std::vector<StreamWindowResult> results = session->TakeResults();
+  ASSERT_EQ(results.size(), clean.results.size());
+  for (size_t k = 0; k < results.size(); ++k) {
+    EXPECT_TRUE(results[k].logits.AllFinite()) << "window " << k;
+    EXPECT_TRUE(BitEqual(results[k].logits, clean.results[k].logits))
+        << "window " << k << " diverges after the refused chunk";
+  }
+  EXPECT_TRUE(rig.manager->Release(id).ok());
+}
+
 // A stream shorter than one window flushes as a single edge-padded window.
 TEST(StreamSessionTest, ShortStreamFlushesPaddedTail) {
   Rig rig;
