@@ -1,30 +1,20 @@
 // Serving benchmarks for the layered engine: the ratio floors nothing else
 // measures. Engine throughput, latency and cache behaviour under load are the
 // latency ledger's job (bench/ledger/); cache-hit bit-identity is asserted by
-// serve_sched_test. Three parts:
+// serve_sched_test. Two parts:
 //
 // 1. Priority mix: the motivation scenario — a bulk re-scoring backlog is
-//    draining when latency-critical interactive requests arrive (70/30
+//    queued when latency-critical interactive requests arrive (70/30
 //    bulk/interactive offered load, identical in both modes). "fifo" labels
 //    everything kBatch (uniform class = the pre-layering FIFO engine);
 //    "priority" labels the burst kInteractive so the scheduler lets it
-//    overtake. Reports the p50 interactive queue latency of both modes and
-//    the speedup; the layered scheduler must win by >= 5x.
+//    overtake. The whole mix is queued before the executors resume, so the
+//    scheduler alone fixes the service order. The gated metric is that
+//    order, not milliseconds: the burst's median service position (rank of
+//    its start among all requests), fifo over priority — ~68/12 by
+//    construction. The p50 burst queue latencies are reported alongside.
 //
-// 2. Adaptive planner sweep: the same workload behind (a) the analytic
-//    batch planner on a deliberately tight simulated device — its
-//    training-accounted plan caps micro-batches conservatively — and (b) the
-//    telemetry-driven AdaptivePlanner seeded from that same analytic
-//    planner. Passes of live traffic feed measured compute/RSS back into
-//    the planner, whose plan climbs toward the forward-only memory ceiling;
-//    the sweep reports per-pass throughput against the analytic baseline.
-//    CI gates (RITA_CHECK, non-zero exit): the recalibrated plan never
-//    exceeds the safety ceiling, rises above the analytic seed, and
-//    converged adaptive throughput does not collapse below the baseline
-//    (the plan gates are deterministic; the throughput gate is loose
-//    because quick-scale timing on shared runners is noisy).
-//
-// 3. Observability overhead: the full workload with the metrics registry on
+// 2. Observability overhead: the full workload with the metrics registry on
 //    (it always is) and tracing off, versus 1-in-8 sampled tracing. Emits
 //    BENCH_obs.json next to the --json document with the overhead ratio and
 //    hard-fails (RITA_CHECK, non-zero exit => CI gate) if the Prometheus
@@ -35,17 +25,17 @@
 // stats() mid-burst to report instantaneous queue depth / in-flight batches
 // (the snapshot is taken under the queue mutex, so it is consistent).
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/adaptive_planner.h"
 #include "serve/inference_engine.h"
-#include "serve/telemetry.h"
 #include "util/stopwatch.h"
 
 namespace rita {
@@ -64,13 +54,20 @@ double Percentile50(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-/// One priority-mix mode: preload `bulk` requests as kBatch behind a paused
-/// engine, resume, then fire `interactive` requests from the main thread as
-/// the backlog drains. In "fifo" mode the burst is also labelled kBatch, so
-/// the scheduler degenerates to admission order — the pre-layering engine.
-/// Returns the p50 queue latency (ms) of the burst requests.
-double RunPriorityMode(const Workload& workload, int64_t bulk, int64_t interactive,
-                       bool prioritize, BenchJsonWriter* json) {
+struct PriorityModeResult {
+  double p50_queue_ms = 0.0;      // burst requests' median queue latency
+  double median_position = 0.0;   // burst requests' median service position
+};
+
+/// One priority-mix mode: queue `bulk` kBatch requests and then an
+/// `interactive` burst behind a paused engine, then resume. In "fifo" mode
+/// the burst is also labelled kBatch, so the scheduler degenerates to
+/// admission order — the pre-layering engine. A request's service start is
+/// its Submit stamp + queue_ms; its position is the rank of that start among
+/// every request of the mix.
+PriorityModeResult RunPriorityMode(const Workload& workload, int64_t bulk,
+                                   int64_t interactive, bool prioritize,
+                                   BenchJsonWriter* json) {
   serve::InferenceEngineOptions options;
   options.num_workers = 2;
   options.max_micro_batch = 4;
@@ -80,23 +77,21 @@ double RunPriorityMode(const Workload& workload, int64_t bulk, int64_t interacti
   options.start_paused = true;
   serve::InferenceEngine engine(workload.frozen, options);
 
-  std::vector<std::future<serve::InferenceResponse>> bulk_futures;
-  for (int64_t i = 0; i < bulk; ++i) {
+  // Requests [0, bulk) are the backlog, [bulk, bulk + interactive) the burst.
+  const int64_t total = bulk + interactive;
+  std::vector<std::future<serve::InferenceResponse>> futures;
+  std::vector<serve::ServeClock::time_point> submitted;
+  futures.reserve(total);
+  submitted.reserve(total);
+  for (int64_t i = 0; i < total; ++i) {
     serve::InferenceRequest request;
     request.series = workload.requests[i % workload.requests.size()];
-    request.priority = serve::Priority::kBatch;
-    bulk_futures.push_back(engine.Submit(std::move(request)));
+    request.priority = i >= bulk && prioritize ? serve::Priority::kInteractive
+                                               : serve::Priority::kBatch;
+    submitted.push_back(serve::ServeClock::now());
+    futures.push_back(engine.Submit(std::move(request)));
   }
   engine.Resume();
-
-  std::vector<std::future<serve::InferenceResponse>> burst_futures;
-  for (int64_t i = 0; i < interactive; ++i) {
-    serve::InferenceRequest request;
-    request.series = workload.requests[(bulk + i) % workload.requests.size()];
-    request.priority =
-        prioritize ? serve::Priority::kInteractive : serve::Priority::kBatch;
-    burst_futures.push_back(engine.Submit(std::move(request)));
-  }
 
   // Mid-burst load snapshot: queue depth and in-flight batches observed
   // under the queue mutex (instantaneous, not cumulative).
@@ -108,16 +103,31 @@ double RunPriorityMode(const Workload& workload, int64_t bulk, int64_t interacti
               static_cast<double>(mid.in_flight_batches), "batches");
   }
 
+  std::vector<std::pair<serve::ServeClock::time_point, bool>> starts;
   std::vector<double> burst_queue_ms;
-  for (auto& future : burst_futures) {
-    serve::InferenceResponse response = future.get();
+  starts.reserve(total);
+  for (int64_t i = 0; i < total; ++i) {
+    const serve::InferenceResponse response = futures[i].get();
     RITA_CHECK(response.status.ok());
-    burst_queue_ms.push_back(response.queue_ms);
+    const bool burst = i >= bulk;
+    starts.emplace_back(
+        submitted[i] + std::chrono::duration_cast<serve::ServeClock::duration>(
+                           std::chrono::duration<double, std::milli>(
+                               response.queue_ms)),
+        burst);
+    if (burst) burst_queue_ms.push_back(response.queue_ms);
   }
-  for (auto& future : bulk_futures) {
-    RITA_CHECK(future.get().status.ok());
+  std::sort(starts.begin(), starts.end());
+  std::vector<double> burst_positions;
+  for (size_t position = 0; position < starts.size(); ++position) {
+    if (starts[position].second) {
+      burst_positions.push_back(static_cast<double>(position));
+    }
   }
-  return Percentile50(std::move(burst_queue_ms));
+  PriorityModeResult result;
+  result.p50_queue_ms = Percentile50(std::move(burst_queue_ms));
+  result.median_position = Percentile50(std::move(burst_positions));
+  return result;
 }
 
 void RunPriorityMix(const Workload& workload, const BenchScale& scale,
@@ -128,15 +138,27 @@ void RunPriorityMix(const Workload& workload, const BenchScale& scale,
 
   std::printf("=== Priority mix: %lld bulk backlog + %lld interactive burst ===\n",
               static_cast<long long>(bulk), static_cast<long long>(interactive));
-  const double fifo_p50 = RunPriorityMode(workload, bulk, interactive, false, json);
-  const double prio_p50 = RunPriorityMode(workload, bulk, interactive, true, json);
-  const double speedup = prio_p50 > 0.0 ? fifo_p50 / prio_p50 : 0.0;
-  std::printf("%-34s %12.3f ms\n", "p50 interactive queue (fifo)", fifo_p50);
-  std::printf("%-34s %12.3f ms\n", "p50 interactive queue (priority)", prio_p50);
-  std::printf("%-34s %12.1fx\n\n", "speedup", speedup);
-  json->Add("priority_mix/p50_interactive_queue_ms/fifo", fifo_p50, "ms");
-  json->Add("priority_mix/p50_interactive_queue_ms/priority", prio_p50, "ms");
-  json->Add("priority_mix/p50_speedup", speedup, "x");
+  const PriorityModeResult fifo =
+      RunPriorityMode(workload, bulk, interactive, false, json);
+  const PriorityModeResult prio =
+      RunPriorityMode(workload, bulk, interactive, true, json);
+  // The burst's median position is at least interactive / 2 > 0.
+  const double position_ratio = fifo.median_position / prio.median_position;
+  std::printf("%-34s %12.3f ms\n", "p50 interactive queue (fifo)",
+              fifo.p50_queue_ms);
+  std::printf("%-34s %12.3f ms\n", "p50 interactive queue (priority)",
+              prio.p50_queue_ms);
+  std::printf("%-34s %12.0f -> %.0f\n", "median burst position",
+              fifo.median_position, prio.median_position);
+  std::printf("%-34s %12.2fx\n\n", "position ratio (fifo / priority)",
+              position_ratio);
+  json->Add("priority_mix/p50_interactive_queue_ms/fifo", fifo.p50_queue_ms, "ms");
+  json->Add("priority_mix/p50_interactive_queue_ms/priority", prio.p50_queue_ms,
+            "ms");
+  json->Add("priority_mix/median_position/fifo", fifo.median_position, "rank");
+  json->Add("priority_mix/median_position/priority", prio.median_position,
+            "rank");
+  json->Add("priority_mix/median_position_ratio", position_ratio, "x");
 }
 
 /// One pass of the workload through `engine` from `clients` threads;
@@ -163,106 +185,7 @@ double RunEnginePass(const Workload& workload, serve::InferenceEngine& engine,
   return static_cast<double>(total) / watch.ElapsedSeconds();
 }
 
-void RunAdaptiveSweep(const Workload& workload, const BenchScale& scale,
-                      BenchJsonWriter* json) {
-  const model::RitaConfig& config = workload.frozen->config();
-  const core::EncoderShape shape = config.MemoryShape();
-  const int64_t length = config.input_length;
-  const int64_t groups = std::max<int64_t>(1, workload.frozen->num_groups());
-  const int64_t bucket = serve::LengthBucket(length);
-
-  // Simulated device sized so the training-accounted analytic plan at the
-  // serving length is a conservative 4 — while every point the analytic
-  // planner calibrates over still fits at batch 1.
-  core::MemoryModel probe(shape);
-  core::MemoryModelOptions mm;
-  mm.capacity_bytes =
-      std::max(probe.PeakBytes(4, length, groups) / 0.9 * 1.01,
-               probe.PeakBytes(1, bucket, shape.Tokens(bucket)) / 0.9 * 1.05);
-  core::MemoryModel memory(shape, mm);
-  core::BatchPlannerOptions planner_options;
-  planner_options.max_length = bucket;
-  planner_options.num_samples = 48;
-  core::BatchPlanner analytic(memory, planner_options);
-  Rng planner_rng(4300);
-  analytic.Calibrate(&planner_rng);
-  serve::AdaptivePlanner adaptive(&analytic);
-
-  const int64_t analytic_plan = analytic.PredictBatchSize(length, groups);
-  const int64_t ceiling = adaptive.SafetyCeiling(bucket, groups);
-  std::printf("=== Adaptive planner sweep: analytic plan %lld, ceiling %lld ===\n",
-              static_cast<long long>(analytic_plan),
-              static_cast<long long>(ceiling));
-
-  const int kClients = 8;
-  serve::InferenceEngineOptions options;
-  options.num_workers = 2;
-  options.max_micro_batch = 32;  // the planner, not this cap, is the binder
-  options.context = workload.context;
-  options.cache_bytes = 0;  // every request computes => telemetry every batch
-
-  // Analytic baseline: the static plan caps every micro-batch for the whole
-  // run. Averaged over two passes (fresh engine each) to tame jitter.
-  double analytic_rps = 0.0;
-  for (int pass = 0; pass < 2; ++pass) {
-    serve::InferenceEngineOptions analytic_options = options;
-    analytic_options.planner = &analytic;
-    serve::InferenceEngine engine(workload.frozen, analytic_options);
-    analytic_rps += RunEnginePass(workload, engine, kClients);
-  }
-  analytic_rps /= 2.0;
-
-  // Adaptive: ONE engine across passes, so the telemetry the early passes
-  // feed back recalibrates the plan the later passes run under.
-  serve::InferenceEngineOptions adaptive_options = options;
-  adaptive_options.planner = &adaptive;
-  serve::InferenceEngine engine(workload.frozen, adaptive_options);
-  const int passes = scale.quick ? 4 : 6;
-  std::printf("%8s %12s %14s %12s\n", "pass", "req/s", "planned-batch", "vs-analytic");
-  PrintRule(52);
-  double last_rps = 0.0;
-  for (int pass = 0; pass < passes; ++pass) {
-    last_rps = RunEnginePass(workload, engine, kClients);
-    const serve::InferenceEngineStats stats = engine.stats();
-    std::printf("%8d %12.1f %14lld %11.2fx\n", pass, last_rps,
-                static_cast<long long>(stats.planner_batch),
-                last_rps / analytic_rps);
-    json->Add("adaptive/pass" + std::to_string(pass) + "/requests_per_sec",
-              last_rps, "req/s");
-  }
-  const serve::InferenceEngineStats stats = engine.stats();
-  const double ratio = last_rps / analytic_rps;
-  std::printf("%-34s %12.1f\n", "analytic req/s", analytic_rps);
-  std::printf("%-34s %12.1f (%.2fx)\n", "adaptive req/s (converged)", last_rps, ratio);
-  std::printf("%-34s %12lld -> %lld (ceiling %lld)\n\n", "plan seed -> converged",
-              static_cast<long long>(stats.planner_seed_batch),
-              static_cast<long long>(stats.planner_batch),
-              static_cast<long long>(stats.planner_ceiling));
-
-  // CI gates. The plan checks are deterministic and exact. The throughput
-  // check is a timing measurement on whatever hardware CI lands on: at quick
-  // scale the tiny model leaves little batching headroom (the ratio hovers
-  // around 1.0-1.1x locally), so the hard gate only catches an egregious
-  // regression; the bench-regression baseline gates the tracked ratio.
-  RITA_CHECK_GT(stats.planner_batch, 0);
-  RITA_CHECK_LE(stats.planner_batch, stats.planner_ceiling)
-      << "recalibrated plan exceeded the memory safety ceiling";
-  RITA_CHECK_GT(stats.planner_batch, analytic_plan)
-      << "telemetry did not lift the plan above the analytic seed";
-  RITA_CHECK_GE(ratio, 0.75)
-      << "converged adaptive throughput fell far below the analytic baseline";
-
-  json->Add("adaptive/analytic_requests_per_sec", analytic_rps, "req/s");
-  json->Add("adaptive/converged_requests_per_sec", last_rps, "req/s");
-  json->Add("adaptive/throughput_ratio", ratio, "x");
-  json->Add("adaptive/planned_batch", static_cast<double>(stats.planner_batch),
-            "batch");
-  json->Add("adaptive/safety_ceiling",
-            static_cast<double>(stats.planner_ceiling), "batch");
-  json->Add("adaptive/plan_within_ceiling", 1.0, "bool");
-}
-
-/// Part 3: cost of the observability layer on the hot path. The metrics
+/// Part 2: cost of the observability layer on the hot path. The metrics
 /// registry has no off switch (lock-free counters are the EngineStats
 /// backing store), so the measured split is tracing off — the recommended
 /// production default — against 1-in-8 sampled tracing. Best-of-N passes on
@@ -380,7 +303,7 @@ std::string ObsJsonPath(const std::string& json_path) {
 }
 
 void Run(const BenchScale& scale) {
-  std::printf("=== Serving: priority mix, adaptive planner, observability ===\n\n");
+  std::printf("=== Serving: priority mix, observability ===\n\n");
 
   model::RitaConfig config;
   config.input_channels = 3;
@@ -413,7 +336,6 @@ void Run(const BenchScale& scale) {
 
   BenchJsonWriter json("serve_throughput");
   RunPriorityMix(workload, scale, &json);
-  RunAdaptiveSweep(workload, scale, &json);
   RunObsOverhead(workload, scale, ObsJsonPath(scale.json_path));
 
   RITA_CHECK(json.WriteTo(scale.json_path)) << "failed to write " << scale.json_path;

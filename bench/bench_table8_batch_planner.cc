@@ -8,21 +8,13 @@
 //    the DP optimal over guillotine divisions) and held-out relative error
 //    stays in single-digit percents.
 //
-// 2. Analytic vs adaptive serving plans: the analytic planner charges every
-//    activation the training backward multiplier, so its serving plan is
-//    conservative; the telemetry-driven AdaptivePlanner recalibrates from
-//    synthetic measured-cost samples and converges toward the forward-only
-//    safety ceiling. Hard gates (RITA_CHECK, non-zero exit => CI): the
-//    adaptive plan never exceeds the ceiling and never falls below the
-//    analytic plan on confirming telemetry.
-//
-// 3. The bf16 serving variant: freeze one trained-shape model at fp32 and
+// 2. The bf16 serving variant: freeze one trained-shape model at fp32 and
 //    bf16, measure the weight-footprint ratio and the accuracy delta against
 //    the fp32 reference (argmax agreement + reconstruction-MSE ratio, the
 //    same metrics serve/accuracy_gate.h enforces at registration). Hard
 //    gates: agreement >= 0.99, MSE ratio <= 1.05, bf16 GEMM bytes <= 0.50x
 //    fp32, and the fp32 variant stays bitwise identical to a plain freeze.
-//    Emits BENCH_quant.json next to the part-1/2 document for the CI
+//    Emits BENCH_quant.json next to the part-1 document for the CI
 //    regression gate.
 #include <cmath>
 #include <cstring>
@@ -30,9 +22,7 @@
 #include "bench_common.h"
 #include "core/batch_planner.h"
 #include "serve/accuracy_gate.h"
-#include "serve/adaptive_planner.h"
 #include "serve/frozen_model.h"
-#include "serve/telemetry.h"
 #include "util/csv.h"
 #include "util/stopwatch.h"
 
@@ -107,83 +97,7 @@ void RunFitAblation(BenchJsonWriter* json) {
   RITA_CHECK(csv.Close().ok());
 }
 
-// Part 2: what live telemetry buys at serving time. The analytic planner's
-// backward multiplier (2.0: grads + optimiser state) is correct for training
-// and pessimistic for grad-free serving; synthetic telemetry consistent with
-// a linear serving cost model lets the AdaptivePlanner climb toward the
-// forward-only ceiling on the same simulated 16 GB device.
-void RunAdaptiveComparison(const BenchScale& scale, BenchJsonWriter* json) {
-  std::printf("=== Analytic vs adaptive serving plans ===\n\n");
-  core::EncoderShape shape;  // paper-sized group-attention encoder
-  shape.kind = attn::AttentionKind::kGroup;
-  core::MemoryModel model(shape);
-  core::BatchPlannerOptions options;
-  options.max_length = 10000;
-  options.num_samples = scale.quick ? 48 : 64;
-  core::BatchPlanner analytic(model, options);
-  Rng rng(31);
-  analytic.Calibrate(&rng);
-
-  serve::AdaptivePlanner adaptive(&analytic);
-
-  std::printf("%8s %8s %14s %14s %10s %8s\n", "length", "groups", "analytic-plan",
-              "adaptive-plan", "ceiling", "ratio");
-  PrintRule(68);
-  double worst_ratio = 1e9;
-  Rng noise(83);
-  for (int64_t length : {1000, 4000, 8000}) {
-    const int64_t groups = 64;
-    const int64_t analytic_plan = analytic.PredictBatchSize(length, groups);
-    const int64_t ceiling = adaptive.SafetyCeiling(length, groups);
-
-    // Synthetic measured costs: latency linear in batch, RSS well under the
-    // budget — telemetry that a healthy serving host would produce.
-    const int samples = scale.quick ? 60 : 120;
-    for (int i = 0; i < samples; ++i) {
-      const int64_t plan = adaptive.PlanBatch(0, 0, length, groups);
-      core::BatchTelemetry sample;
-      sample.model_id = 0;
-      sample.task = 0;
-      sample.length = length;
-      sample.groups = groups;
-      sample.batch = std::max<int64_t>(1, plan - (i % 3));
-      sample.compute_ms = 1.5 + 0.4 * static_cast<double>(sample.batch) +
-                          0.05 * (noise.Uniform() - 0.5);
-      sample.peak_rss_bytes = serve::CurrentRssBytes();
-      adaptive.Observe(sample);
-    }
-    const int64_t adaptive_plan = adaptive.PlanBatch(0, 0, length, groups);
-    const double ratio = static_cast<double>(adaptive_plan) /
-                         static_cast<double>(analytic_plan);
-    worst_ratio = std::min(worst_ratio, ratio);
-    std::printf("%8lld %8lld %14lld %14lld %10lld %7.2fx\n",
-                static_cast<long long>(length), static_cast<long long>(groups),
-                static_cast<long long>(analytic_plan),
-                static_cast<long long>(adaptive_plan),
-                static_cast<long long>(ceiling), ratio);
-
-    // CI gates: conservatism is non-negotiable; and with confirming
-    // telemetry the adaptive plan must not fall below the analytic seed.
-    RITA_CHECK_LE(adaptive_plan, ceiling)
-        << "adaptive plan exceeds the memory safety ceiling at length " << length;
-    RITA_CHECK_GE(adaptive_plan, analytic_plan)
-        << "adaptive plan regressed below the analytic seed at length " << length;
-
-    const std::string prefix = "adaptive/length" + std::to_string(length);
-    json->Add(prefix + "/analytic_plan", static_cast<double>(analytic_plan), "batch");
-    json->Add(prefix + "/adaptive_plan", static_cast<double>(adaptive_plan), "batch");
-    json->Add(prefix + "/ceiling", static_cast<double>(ceiling), "batch");
-  }
-  const serve::AdaptivePlanner::Snapshot snapshot = adaptive.ModelSnapshot(0);
-  std::printf("\nplanner: %llu samples, %llu plan updates, %llu outliers clamped\n\n",
-              static_cast<unsigned long long>(snapshot.samples),
-              static_cast<unsigned long long>(snapshot.plan_updates),
-              static_cast<unsigned long long>(snapshot.outliers));
-  json->Add("adaptive/min_plan_ratio", worst_ratio, "x");
-  json->Add("adaptive/within_ceiling", 1.0, "bool");
-}
-
-// Part 3: the bf16 serving path end to end, at the paper's width (dim 64).
+// Part 2: the bf16 serving path end to end, at the paper's width (dim 64).
 void RunQuantizedServing(const BenchScale& scale, const std::string& json_path) {
   std::printf("=== Quantized serving variant (bf16 vs fp32) ===\n\n");
   BenchJsonWriter json("quantized_serving");
@@ -261,7 +175,6 @@ void Run(const BenchScale& scale) {
   std::printf("=== Batch planner ablation (Sec. 5.2 / Appendix A.3) ===\n\n");
   BenchJsonWriter json("table8_batch_planner");
   RunFitAblation(&json);
-  RunAdaptiveComparison(scale, &json);
   RITA_CHECK(json.WriteTo(scale.json_path)) << "failed to write " << scale.json_path;
   RunQuantizedServing(scale, QuantJsonPath(scale.json_path));
   std::printf("series written to bench_table8_batch_planner.csv\n");

@@ -143,7 +143,7 @@ int main() {
   }
 
   // 5. Session + engine observability: windows, latency percentiles, and the
-  //    engine-side compute/deadline telemetry the batch planner feeds on.
+  //    engine-side compute and deadline-miss counters.
   const stream::StreamStats stats = manager.session_stats(session).ValueOrDie();
   const serve::InferenceEngineStats estats = engine.stats();
   std::printf(

@@ -6,13 +6,10 @@
 namespace rita {
 namespace core {
 
-BatchPlanner::BatchPlanner(const MemoryModel& model, const BatchPlannerOptions& options)
-    : model_(model), options_(options) {
-  RITA_CHECK_GE(options_.max_length, model_.shape().window);
-  RITA_CHECK_GT(options_.num_samples, 0);
-}
+namespace {
 
-// Alg. 2: classic lo/hi binary search over feasible batch size.
+// Alg. 2: classic lo/hi binary search for the largest batch that fits under
+// `fraction` of `model`'s capacity at (length, groups), capped at `max_batch`.
 int64_t MaxFeasibleBatch(const MemoryModel& model, int64_t length, int64_t groups,
                          double fraction, int64_t max_batch) {
   int64_t lo = 1, hi = max_batch, best = 1;
@@ -26,6 +23,14 @@ int64_t MaxFeasibleBatch(const MemoryModel& model, int64_t length, int64_t group
     }
   }
   return best;
+}
+
+}  // namespace
+
+BatchPlanner::BatchPlanner(const MemoryModel& model, const BatchPlannerOptions& options)
+    : model_(model), options_(options) {
+  RITA_CHECK_GE(options_.max_length, model_.shape().window);
+  RITA_CHECK_GT(options_.num_samples, 0);
 }
 
 int64_t BatchPlanner::ProbeBatchSize(int64_t length, int64_t groups) const {

@@ -15,69 +15,6 @@
 namespace rita {
 namespace core {
 
-/// Measured telemetry of one executed micro-batch — the feedback signal a
-/// live-telemetry planner recalibrates from. Emitted by the serving executor
-/// after every forward; `task` uses the serve::ServeTask encoding (kept as a
-/// plain integer so core stays independent of the serving layer).
-struct BatchTelemetry {
-  int64_t model_id = 0;
-  int64_t task = 0;
-  int64_t length = 0;           // raw series length of the coalescing bucket
-  int64_t groups = 0;           // carrier model's group count (0 = non-group)
-  int64_t batch = 0;            // micro-batch size that actually ran
-  double compute_ms = 0.0;      // measured forward wall time
-  int64_t peak_rss_bytes = 0;   // process RSS probed after the forward; 0 = n/a
-};
-
-/// Common face of every batch-size planner the scheduler can consult: the
-/// analytic BatchPlanner below (plans from the memory model alone, ignores
-/// feedback) and serve::AdaptivePlanner (recalibrates from BatchTelemetry).
-class PlannerInterface {
- public:
-  virtual ~PlannerInterface() = default;
-
-  /// Micro-batch budget for series of `length` on `groups` groups; >= 1.
-  virtual int64_t PredictBatchSize(int64_t length, int64_t groups) const = 0;
-
-  /// Model/task-aware refinement used by the serving scheduler. Planners
-  /// without per-model state fall through to PredictBatchSize.
-  virtual int64_t PlanBatch(int64_t model_id, int64_t task, int64_t length,
-                            int64_t groups) const {
-    (void)model_id;
-    (void)task;
-    return PredictBatchSize(length, groups);
-  }
-
-  /// False until the planner can answer PredictBatchSize.
-  virtual bool calibrated() const = 0;
-
-  /// Feedback hook: the executor reports every finished batch here. Analytic
-  /// planners ignore it; adaptive planners must be safe to call concurrently
-  /// with PlanBatch/EstimateComputeMs.
-  virtual void Observe(const BatchTelemetry& sample) { (void)sample; }
-
-  /// Current latency estimate (ms) for a batch of `batch` requests at
-  /// (model, task, length); <= 0 when the planner has no estimate yet.
-  /// Admission uses batch == 1 to shed requests whose deadline already
-  /// cannot be met by a hypothetical immediate solo forward.
-  virtual double EstimateComputeMs(int64_t model_id, int64_t task,
-                                   int64_t length, int64_t batch) const {
-    (void)model_id;
-    (void)task;
-    (void)length;
-    (void)batch;
-    return 0.0;
-  }
-};
-
-/// Alg. 2's binary search as a free function: the largest batch that fits
-/// under `fraction` of `model`'s capacity at (length, groups), capped at
-/// `max_batch`. Both the analytic planner's probe and the adaptive planner's
-/// safety ceiling are instances of this search (over different memory
-/// accountings).
-int64_t MaxFeasibleBatch(const MemoryModel& model, int64_t length, int64_t groups,
-                         double fraction, int64_t max_batch);
-
 struct BatchPlannerOptions {
   /// User-defined maximal raw timeseries length L_max.
   int64_t max_length = 10000;
@@ -90,8 +27,10 @@ struct BatchPlannerOptions {
   PlaneDivisionOptions plane;
 };
 
-/// Learns and serves the analytic batch-size prediction function.
-class BatchPlanner : public PlannerInterface {
+/// Learns and serves the analytic batch-size prediction function. Training
+/// consults it whenever the adaptive scheduler changes N; the serving
+/// scheduler caps every micro-batch with it.
+class BatchPlanner {
  public:
   BatchPlanner(const MemoryModel& model, const BatchPlannerOptions& options);
 
@@ -105,11 +44,11 @@ class BatchPlanner : public PlannerInterface {
   void Calibrate(Rng* rng);
 
   /// Fast prediction from the fitted plane (clamped to >= 1). Conservative:
-  /// the prediction is validated against the memory model and halved until it
-  /// fits, so a fit overshoot can never OOM.
-  int64_t PredictBatchSize(int64_t length, int64_t groups) const override;
+  /// the prediction is validated against the memory model and clipped to the
+  /// largest feasible batch below it, so a fit overshoot can never OOM.
+  int64_t PredictBatchSize(int64_t length, int64_t groups) const;
 
-  bool calibrated() const override { return calibrated_; }
+  bool calibrated() const { return calibrated_; }
   const MemoryModel& memory_model() const { return model_; }
   const BatchPlannerOptions& options() const { return options_; }
   const PlaneDivision& division() const { return division_; }

@@ -28,6 +28,8 @@ namespace {
 // exp(x) via Cody-Waite range reduction + degree-6 polynomial (Cephes
 // coefficients): ~2 ULP over the finite range, exact at 0, flushes true
 // underflow (x < -87.34, including -inf) to 0 instead of returning denormals.
+// NaN stays NaN: max_ps/min_ps return their second operand when either is
+// NaN, so the clamp puts x second.
 inline __m256 Exp8(__m256 x) {
   const __m256 kLog2e = _mm256_set1_ps(1.44269504088896341f);
   const __m256 kLn2Hi = _mm256_set1_ps(0.693359375f);
@@ -35,7 +37,7 @@ inline __m256 Exp8(__m256 x) {
   const __m256 kMaxX = _mm256_set1_ps(88.3762626647950f);
   const __m256 kMinX = _mm256_set1_ps(-87.3365478515625f);
 
-  const __m256 clamped = _mm256_min_ps(_mm256_max_ps(x, kMinX), kMaxX);
+  const __m256 clamped = _mm256_min_ps(kMaxX, _mm256_max_ps(kMinX, x));
   const __m256 m = _mm256_round_ps(_mm256_mul_ps(clamped, kLog2e),
                                    _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   __m256 r = _mm256_fnmadd_ps(m, kLn2Hi, clamped);
@@ -61,10 +63,10 @@ inline __m256 Exp8(__m256 x) {
 
 // Scalar replica of Exp8 (same constants, fmaf mirrors the vector FMAs) for
 // loop tails, so a value gets the same result whether it lands in a vector
-// lane or the remainder. The clamp spells out max_ps/min_ps operand order:
-// NaN clamps to the lower bound as in a vector lane, so the int conversion
-// below never sees NaN.
+// lane or the remainder. NaN returns early, as NaN, like a vector lane, so
+// the int conversion below never sees it.
 inline float Exp1(float x) {
+  if (std::isnan(x)) return x;
   const float lo = x > -87.3365478515625f ? x : -87.3365478515625f;
   const float clamped = lo < 88.3762626647950f ? lo : 88.3762626647950f;
   const float m = std::nearbyintf(clamped * 1.44269504088896341f);

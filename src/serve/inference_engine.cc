@@ -6,7 +6,6 @@
 
 #include "obs/prometheus.h"
 #include "obs/trace.h"
-#include "serve/telemetry.h"
 #include "tensor/tensor_ops.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -91,9 +90,6 @@ InferenceEngine::InferenceEngine(const FrozenModel* model,
 void InferenceEngine::Start() {
   RITA_CHECK_GT(registry_->size(), 0) << "registry has no models";
   RITA_CHECK_GT(options_.num_workers, 0);
-  // An adaptive planner closes the telemetry loop (Observe after every batch)
-  // and exposes per-model state for stats(); analytic planners only cap.
-  adaptive_planner_ = dynamic_cast<AdaptivePlanner*>(options_.planner);
   registry_->Freeze();
   if (options_.cache_bytes > 0) {
     ResultCache::Options cache_options;
@@ -138,8 +134,6 @@ InferenceEngine::ScopeMetrics InferenceEngine::RegisterScope(
                                             with("reason", "invalid"));
   m.rejected_backpressure = metrics_->GetCounter(
       kRejectedFamily, kRejectedHelp, with("reason", "backpressure"));
-  m.rejected_hopeless = metrics_->GetCounter(kRejectedFamily, kRejectedHelp,
-                                             with("reason", "hopeless"));
   m.batches = metrics_->GetCounter(
       kBatchesFamily, "Micro-batch model forwards executed", labels);
   m.cache_hits = metrics_->GetCounter(
@@ -253,9 +247,6 @@ void InferenceEngine::CountRejection(int64_t model_id, RejectKind kind) {
     case RejectKind::kBackpressure:
       m.rejected_backpressure->Add(1);
       break;
-    case RejectKind::kHopeless:
-      m.rejected_hopeless->Add(1);
-      break;
   }
 }
 
@@ -305,30 +296,6 @@ std::future<InferenceResponse> InferenceEngine::Submit(InferenceRequest request)
     // Second-sighting admission: a first-time key computes but is not
     // inserted, so one-off requests never occupy the cache.
     if (!cache_->Admit(key)) key = ResultCache::Key{};
-  }
-
-  // Shed hopeless deadlines at admission (after the cache, which answers in
-  // microseconds and can still save them): when the planner's recalibrated
-  // latency estimate says even an immediate SOLO forward lands past the
-  // deadline, executing the request would burn a batch slot to produce a
-  // certainly-late answer. Sheds count under rejected_hopeless, not the
-  // invalid/backpressure splits. Estimate 0 (cold planner, no telemetry for
-  // this bucket yet) never sheds — cold-start behavior is unchanged.
-  if (invalid.ok() && request.deadline != kNoDeadline &&
-      options_.planner != nullptr) {
-    const double eta_ms = options_.planner->EstimateComputeMs(
-        model_id, static_cast<int64_t>(request.task), request.series.size(0),
-        /*batch=*/1);
-    if (eta_ms > 0.0) {
-      const auto eta = std::chrono::duration_cast<ServeClock::duration>(
-          std::chrono::duration<double, std::milli>(eta_ms));
-      if (ServeClock::now() + eta > request.deadline) {
-        invalid = Status::DeadlineUnmeetable(
-            "deadline precedes the planner's " + std::to_string(eta_ms) +
-            "ms minimum compute estimate; shed at admission");
-        reject_kind = RejectKind::kHopeless;
-      }
-    }
   }
 
   if (invalid.ok()) {
@@ -489,9 +456,8 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
 
   if (!forward_status.ok()) {
     // Fail the whole micro-batch cleanly: every rider resolves with the
-    // error, nothing enters the cache, the planner sees no sample, and the
-    // worker slot frees as usual when this frame returns — the engine keeps
-    // serving subsequent requests.
+    // error, nothing enters the cache, and the worker slot frees as usual
+    // when this frame returns — the engine keeps serving subsequent requests.
     per_model_[static_cast<size_t>(model_id)].forward_failures->Add(1);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -508,21 +474,6 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
   }
   const double compute_ms = compute.ElapsedMillis();
   const ServeClock::time_point resolved_at = ServeClock::now();
-
-  // Close the planner feedback loop: measured compute time + an RSS probe
-  // for this (model, task, length, batch) point. Analytic planners ignore
-  // the sample (Observe is a no-op); the adaptive planner recalibrates.
-  if (options_.planner != nullptr) {
-    core::BatchTelemetry sample;
-    sample.model_id = model_id;
-    sample.task = static_cast<int64_t>(task);
-    sample.length = t;
-    sample.groups = model->num_groups();
-    sample.batch = b;
-    sample.compute_ms = compute_ms;
-    sample.peak_rss_bytes = CurrentRssBytes();
-    options_.planner->Observe(sample);
-  }
 
   std::vector<InferenceResponse> responses(static_cast<size_t>(b));
   uint64_t missed_deadlines = 0;
@@ -683,9 +634,8 @@ void InferenceEngine::EmitStatsSnapshot() {
                  << " avg_queue_ms=" << s.AvgQueueMs()
                  << " avg_compute_ms=" << s.AvgComputeMs()
                  << " cache_hit_ratio=" << s.CacheHitRatio()
-                 << " rejected=" << s.rejected_invalid +
-                                        s.rejected_backpressure +
-                                        s.rejected_hopeless;
+                 << " rejected="
+                 << s.rejected_invalid + s.rejected_backpressure;
 }
 
 InferenceEngineStats ReadEngineStats(
@@ -704,7 +654,6 @@ InferenceEngineStats ReadEngineStats(
         const std::string& reason = LabelValue(inst.labels, "reason");
         if (reason == "invalid") s.rejected_invalid += count;
         if (reason == "backpressure") s.rejected_backpressure += count;
-        if (reason == "hopeless") s.rejected_hopeless += count;
       } else if (name == kBatchesFamily) {
         s.batches += count;
       } else if (name == kCacheHitsFamily) {
@@ -748,19 +697,6 @@ InferenceEngineStats InferenceEngine::ReadWindow(int64_t model_id) const {
   return ReadEngineStats(families, model_id);
 }
 
-void InferenceEngine::OverlayPlanner(int64_t model_id,
-                                     InferenceEngineStats* s) const {
-  if (adaptive_planner_ == nullptr) return;
-  const AdaptivePlanner::Snapshot planner =
-      adaptive_planner_->ModelSnapshot(model_id);
-  s->planner_samples = planner.samples;
-  s->planner_outliers = planner.outliers;
-  s->planner_plan_updates = planner.plan_updates;
-  s->planner_batch = planner.plan;
-  s->planner_ceiling = planner.ceiling;
-  s->planner_seed_batch = planner.seed_plan;
-}
-
 void InferenceEngine::ResetStatsWindow() {
   std::lock_guard<std::mutex> lock(window_mu_);
   window_base_ = metrics_->Collect();
@@ -784,7 +720,6 @@ InferenceEngineStats InferenceEngine::stats() const {
     snapshot.queue_depth_batch = queue_.depth(Priority::kBatch);
     snapshot.in_flight_batches = in_flight_batches_;
   }
-  OverlayPlanner(/*model_id=*/-1, &snapshot);
   return snapshot;
 }
 
@@ -802,7 +737,6 @@ InferenceEngineStats InferenceEngine::model_stats(int64_t model_id) const {
     snapshot.weight_bytes = model->WeightBytes();
     snapshot.weight_bytes_ratio = model->QuantizedBytesRatio();
   }
-  OverlayPlanner(model_id, &snapshot);
   return snapshot;
 }
 
@@ -833,23 +767,6 @@ void InferenceEngine::RefreshExportGauges() const {
         ->Set(static_cast<double>(cs.insertions));
     r->GetGauge("rita_cache_evictions", "Result-cache evictions")
         ->Set(static_cast<double>(cs.evictions));
-  }
-  if (adaptive_planner_ != nullptr) {
-    const AdaptivePlanner::Snapshot p =
-        adaptive_planner_->ModelSnapshot(/*model_id=*/-1);
-    r->GetGauge("rita_planner_samples", "Planner telemetry samples ingested")
-        ->Set(static_cast<double>(p.samples));
-    r->GetGauge("rita_planner_outliers",
-                "Planner samples clamped by the robust fits")
-        ->Set(static_cast<double>(p.outliers));
-    r->GetGauge("rita_planner_plan_updates", "Published plan movements")
-        ->Set(static_cast<double>(p.plan_updates));
-    r->GetGauge("rita_planner_batch", "Busiest bucket's published plan")
-        ->Set(static_cast<double>(p.plan));
-    r->GetGauge("rita_planner_ceiling", "Busiest bucket's memory ceiling")
-        ->Set(static_cast<double>(p.ceiling));
-    r->GetGauge("rita_planner_seed_batch", "Busiest bucket's analytic seed")
-        ->Set(static_cast<double>(p.seed_plan));
   }
   for (int64_t id = 0; id < registry_->size(); ++id) {
     const FrozenModel* model = registry_->Get(id);

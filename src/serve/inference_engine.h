@@ -35,7 +35,6 @@
 
 #include "core/batch_planner.h"
 #include "obs/metrics.h"
-#include "serve/adaptive_planner.h"
 #include "serve/frozen_model.h"
 #include "serve/model_registry.h"
 #include "serve/request_queue.h"
@@ -65,13 +64,9 @@ struct InferenceEngineOptions {
   /// keeps ResultCache::Options' default shard count.
   int64_t cache_bytes = 32 << 20;
   /// Optional calibrated planner; caps each micro-batch at
-  /// PlanBatch(model, task, length, model.num_groups()) so coalescing can
-  /// never exceed the memory budget the planner was calibrated for. Pass a
-  /// serve::AdaptivePlanner to close the feedback loop: the executor reports
-  /// every batch's measured compute time and RSS back via
-  /// PlannerInterface::Observe, and the planner recalibrates its plan from
-  /// that live telemetry (analytic planners ignore the feedback).
-  core::PlannerInterface* planner = nullptr;
+  /// PredictBatchSize(length, model.num_groups()) so coalescing can never
+  /// exceed the memory budget the planner was calibrated for.
+  const core::BatchPlanner* planner = nullptr;
   /// Execution resources for the forwards (null = ExecutionContext::Default()).
   ExecutionContext* context = nullptr;
   /// Start with the executors paused: requests queue but nothing runs until
@@ -106,18 +101,14 @@ struct InferenceEngineStats {
   uint64_t rejected_invalid = 0;       // failed validation / unknown model /
                                        // submitted after shutdown
   uint64_t rejected_backpressure = 0;  // admission refused: queue caps hit
-  uint64_t rejected_hopeless = 0;      // shed at admission: the deadline could
-                                       // not be met even by an immediate solo
-                                       // forward (planner latency estimate)
   uint64_t batches = 0;          // model forwards executed
   uint64_t cache_hits = 0;       // answered from the result cache
   uint64_t cache_misses = 0;     // looked up, not found (cache enabled only)
   uint64_t deadline_missed = 0;  // computed requests resolved past their deadline
   int64_t max_micro_batch = 0;   // largest coalesced batch observed
   double total_queue_ms = 0.0;   // summed over computed requests
-  // Measured per-batch compute telemetry (sum here, count in `batches`; kept
-  // per model too) — the feedback signal a live-telemetry batch planner
-  // recalibrates from, in place of the analytic MemoryModel.
+  // Measured per-batch forward time (sum here, count in `batches`; kept per
+  // model too).
   double total_compute_ms = 0.0; // summed over batches
   double max_compute_ms = 0.0;   // slowest single batch observed
   uint64_t forward_failures = 0; // micro-batches whose forward threw (all
@@ -128,18 +119,6 @@ struct InferenceEngineStats {
   int64_t queue_depth_interactive = 0;
   int64_t queue_depth_batch = 0;
   int64_t in_flight_batches = 0;  // micro-batches currently executing
-
-  // Adaptive-planner state (all zero unless an AdaptivePlanner is attached;
-  // snapshotted from the planner at stats() time). `planner_batch` /
-  // `planner_ceiling` / `planner_seed_batch` describe the busiest
-  // (task, length-bucket) cost model: the published plan, its hard memory
-  // safety ceiling, and the analytic cold-start plan it departed from.
-  uint64_t planner_samples = 0;       // telemetry samples ingested
-  uint64_t planner_outliers = 0;      // samples clamped by the robust fits
-  uint64_t planner_plan_updates = 0;  // published plan movements
-  int64_t planner_batch = 0;
-  int64_t planner_ceiling = 0;
-  int64_t planner_seed_batch = 0;
 
   // Precision identity of the model (model_stats() only; aggregate stats()
   // leaves the defaults): the serving weight format, the bytes its weights
@@ -181,8 +160,8 @@ struct InferenceEngineStats {
 /// The one reader of engine stats, over a registry snapshot (or several
 /// replicas' snapshots concatenated): counters, histogram sums, queue-depth
 /// and in-flight gauges add; the max-gauges take their maximum. `model_id`
-/// >= 0 reads only the {model="<id>"} instances, -1 reads all. Planner and
-/// model-identity fields keep their defaults.
+/// >= 0 reads only the {model="<id>"} instances, -1 reads all.
+/// Model-identity fields keep their defaults.
 InferenceEngineStats ReadEngineStats(
     const std::vector<obs::MetricsRegistry::FamilySnapshot>& families,
     int64_t model_id = -1);
@@ -240,7 +219,7 @@ class InferenceEngine {
   void ResetStatsWindow();
 
   /// The registry backing this engine's metrics (engine-owned unless
-  /// options.metrics supplied one). Queue/planner/cache gauges are refreshed
+  /// options.metrics supplied one). Queue/cache/model gauges are refreshed
   /// on PrometheusText(); histogram and counter families are always live.
   obs::MetricsRegistry& metrics() const { return *metrics_; }
   /// Prometheus text exposition of every engine metric (refreshes the
@@ -255,7 +234,7 @@ class InferenceEngine {
   const ModelRegistry& registry() const { return *registry_; }
 
  private:
-  enum class RejectKind { kInvalid, kBackpressure, kHopeless };
+  enum class RejectKind { kInvalid, kBackpressure };
 
   /// The metric instances one model writes on the hot path, all labelled
   /// {model="<id>"}. Raw pointers into the registry, resolved once in
@@ -264,7 +243,6 @@ class InferenceEngine {
     obs::Counter* completed = nullptr;
     obs::Counter* rejected_invalid = nullptr;
     obs::Counter* rejected_backpressure = nullptr;
-    obs::Counter* rejected_hopeless = nullptr;
     obs::Counter* batches = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
@@ -288,10 +266,7 @@ class InferenceEngine {
   ScopeMetrics RegisterScope(const obs::LabelSet& labels);
   /// ReadEngineStats over the registry since the last ResetStatsWindow().
   InferenceEngineStats ReadWindow(int64_t model_id) const;
-  /// Copies the adaptive planner's state for `model_id` (-1 = every model)
-  /// into `s`; no-op without an adaptive planner.
-  void OverlayPlanner(int64_t model_id, InferenceEngineStats* s) const;
-  /// Pushes the instantaneous queue/planner/cache/model gauges into the
+  /// Pushes the instantaneous queue/cache/model gauges into the
   /// registry (export-time only; EngineStats reads them directly).
   void RefreshExportGauges() const;
   void StatsLoggerLoop();
@@ -300,9 +275,6 @@ class InferenceEngine {
   const ModelRegistry* registry_;  // set before Start(); fixed afterwards
   ModelRegistry own_registry_;     // backs the single-model constructor
   InferenceEngineOptions options_;
-  // Non-null when options_.planner is adaptive: the executor feeds it
-  // telemetry and stats() surfaces its per-model state.
-  AdaptivePlanner* adaptive_planner_ = nullptr;
   Scheduler scheduler_;
   std::unique_ptr<ResultCache> cache_;  // null when cache_bytes == 0
 

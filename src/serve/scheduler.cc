@@ -53,13 +53,11 @@ Scheduler::Scheduler(const Options& options) : options_(options) {
   RITA_CHECK_GE(options_.bulk_aging_ms, 0.0);
 }
 
-int64_t Scheduler::BatchBudget(int64_t model_id, ServeTask task, int64_t length,
-                               int64_t groups) const {
+int64_t Scheduler::BatchBudget(int64_t length, int64_t groups) const {
   int64_t budget = options_.max_micro_batch;
   if (options_.planner != nullptr && options_.planner->calibrated()) {
-    budget = std::min(budget, options_.planner->PlanBatch(
-                                  model_id, static_cast<int64_t>(task), length,
-                                  std::max<int64_t>(1, groups)));
+    budget = std::min(budget, options_.planner->PredictBatchSize(
+                                  length, std::max<int64_t>(1, groups)));
   }
   return std::max<int64_t>(1, budget);
 }
@@ -100,8 +98,7 @@ std::vector<ScheduledRequest> Scheduler::Assemble(RequestQueue& queue,
             [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
 
   const int64_t budget =
-      BatchBudget(carrier_bucket->model_id, carrier_bucket->task,
-                  carrier_bucket->length,
+      BatchBudget(carrier_bucket->length,
                   groups ? groups(carrier_bucket->model_id) : 0);
   if (static_cast<int64_t>(order.size()) > budget) {
     order.resize(static_cast<size_t>(budget));

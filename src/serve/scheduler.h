@@ -8,10 +8,9 @@
 //
 // Micro-batch assembly stays bucket-shaped (one (model, task, length) bucket
 // shares one [B, T, C] forward) and capped by the engine limit and, when a
-// calibrated planner is attached (analytic BatchPlanner or the
-// telemetry-recalibrated AdaptivePlanner, via core::PlannerInterface), by its
-// memory-aware PlanBatch — the scheduler can never assemble a batch the
-// planner's budget would not admit.
+// calibrated core::BatchPlanner is attached, by its memory-aware
+// PredictBatchSize (the paper's Alg. 2/3 plan) — the scheduler can never
+// assemble a batch the planner's budget would not admit.
 //
 // The scheduler is stateless policy over a RequestQueue the engine locks;
 // `now` is a parameter (not read internally) so tests can replay any timing.
@@ -37,9 +36,8 @@ class Scheduler {
     /// (with an already-elapsed deadline, so it wins the next sweep).
     double bulk_aging_ms = 500.0;
     /// Optional calibrated planner capping each batch at
-    /// PlanBatch(model, task, length, groups) — analytic (core::BatchPlanner)
-    /// or telemetry-recalibrated (serve::AdaptivePlanner).
-    core::PlannerInterface* planner = nullptr;
+    /// PredictBatchSize(length, groups).
+    const core::BatchPlanner* planner = nullptr;
   };
 
   /// Resolves a model id to its group count for the planner cap.
@@ -53,10 +51,9 @@ class Scheduler {
                                          ServeClock::time_point now,
                                          const GroupsFn& groups) const;
 
-  /// Micro-batch budget for `task` requests of `length` on `model_id` (with
-  /// `groups` groups): planner-capped when one is attached and calibrated.
-  int64_t BatchBudget(int64_t model_id, ServeTask task, int64_t length,
-                      int64_t groups) const;
+  /// Micro-batch budget for requests of `length` on a model with `groups`
+  /// groups: planner-capped when one is attached and calibrated.
+  int64_t BatchBudget(int64_t length, int64_t groups) const;
 
   const Options& options() const { return options_; }
 

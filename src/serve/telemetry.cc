@@ -1,32 +1,11 @@
 #include "serve/telemetry.h"
 
-#include <cmath>
-#include <cstdio>
-
 #if defined(__linux__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #endif
 
 namespace rita {
 namespace serve {
-
-int64_t CurrentRssBytes() {
-#if defined(__linux__)
-  // /proc/self/statm: "size resident shared ..." in pages. One open+read —
-  // cheap enough to probe after every micro-batch.
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  long long size_pages = 0, resident_pages = 0;
-  const int fields = std::fscanf(f, "%lld %lld", &size_pages, &resident_pages);
-  std::fclose(f);
-  if (fields != 2) return 0;
-  return static_cast<int64_t>(resident_pages) *
-         static_cast<int64_t>(sysconf(_SC_PAGESIZE));
-#else
-  return 0;
-#endif
-}
 
 int64_t PeakRssBytes() {
 #if defined(__linux__) || defined(__APPLE__)
@@ -40,63 +19,6 @@ int64_t PeakRssBytes() {
 #else
   return 0;
 #endif
-}
-
-int64_t LengthBucket(int64_t length) {
-  if (length <= 1) return 1;
-  int64_t bucket = 1;
-  while (bucket < length) bucket <<= 1;
-  return bucket;
-}
-
-bool OnlineLinearFit::Add(double x, double y) {
-  bool clamped = false;
-  if (ready()) {
-    const double residual = y - Predict(x);
-    const double envelope = outlier_factor_ * mad_;
-    if (mad_ > 0.0 && std::fabs(residual) > envelope) {
-      y = Predict(x) + (residual > 0.0 ? envelope : -envelope);
-      clamped = true;
-    }
-    // Track the residual scale from the (possibly clamped) sample so the
-    // envelope adapts if the true noise level grows.
-    mad_ += decay_ * (std::fabs(y - Predict(x)) - mad_);
-  } else if (samples_ > 0 && sw_ > 0.0) {
-    // Pre-ready residuals against the running mean: seeds the scale.
-    mad_ += decay_ * (std::fabs(y - swy_ / sw_) - mad_);
-  }
-
-  const double keep = 1.0 - decay_;
-  sw_ = sw_ * keep + 1.0;
-  swx_ = swx_ * keep + x;
-  swy_ = swy_ * keep + y;
-  swxx_ = swxx_ * keep + x * x;
-  swxy_ = swxy_ * keep + x * y;
-  ++samples_;
-  return clamped;
-}
-
-double OnlineLinearFit::slope() const {
-  const double det = sw_ * swxx_ - swx_ * swx_;
-  if (std::fabs(det) < 1e-12) return 0.0;
-  return (sw_ * swxy_ - swx_ * swy_) / det;
-}
-
-double OnlineLinearFit::intercept() const {
-  if (sw_ <= 0.0) return 0.0;
-  return (swy_ - slope() * swx_) / sw_;
-}
-
-double OnlineLinearFit::Predict(double x) const {
-  return intercept() + slope() * x;
-}
-
-bool OnlineLinearFit::ready() const {
-  if (samples_ < 2 || sw_ <= 0.0) return false;
-  // Distinct-x check: the x population's decayed variance must be nonzero,
-  // otherwise slope is indeterminate and Predict would extrapolate garbage.
-  const double var = swxx_ / sw_ - (swx_ / sw_) * (swx_ / sw_);
-  return var > 1e-9;
 }
 
 }  // namespace serve

@@ -1,11 +1,6 @@
-// Telemetry substrate of the adaptive batch planner: a lightweight process
-// RSS probe (the CPU substrate's stand-in for the paper's PeakMemoryUsage GPU
-// query), power-of-two length bucketing so sparse per-length samples pool
-// into dense per-bucket populations, and a robust EWMA-decayed online linear
-// fit — the cost-model primitive the planner runs per (model, task, bucket).
-//
-// Everything here is passive math / probing; thread-safety is the
-// AdaptivePlanner's job (it serializes fit access under its own mutex).
+// Process memory probe: lifetime peak resident-set size, the CPU substrate's
+// stand-in for the paper's PeakMemoryUsage GPU query. The latency ledger
+// reports it as `peak_rss_mb`.
 #ifndef RITA_SERVE_TELEMETRY_H_
 #define RITA_SERVE_TELEMETRY_H_
 
@@ -14,57 +9,8 @@
 namespace rita {
 namespace serve {
 
-/// Current resident-set size of this process in bytes (Linux: one read of
-/// /proc/self/statm). Returns 0 where the probe is unavailable — callers must
-/// treat 0 as "no sample", never as "zero memory".
-int64_t CurrentRssBytes();
-
 /// Lifetime peak RSS in bytes (getrusage ru_maxrss). 0 when unavailable.
 int64_t PeakRssBytes();
-
-/// Telemetry pooling bucket for a raw series length: the smallest power of
-/// two >= length. Requests of nearby lengths share one cost model; using the
-/// bucket's UPPER bound for planning keeps the pooled estimate conservative
-/// for every length inside the bucket.
-int64_t LengthBucket(int64_t length);
-
-/// Robust online least squares of y ~ intercept + slope * x under
-/// exponential forgetting: each Add decays every accumulated moment by
-/// (1 - decay), so the fit tracks drift (cache warmup, host load changes)
-/// with an effective memory of ~1/decay samples. Robustness: once the fit is
-/// ready, a sample whose residual exceeds `outlier_factor` times the running
-/// mean absolute deviation is clamped to that envelope before entering the
-/// moments — a single wild measurement can nudge the fit but never yank it.
-class OnlineLinearFit {
- public:
-  OnlineLinearFit(double decay, double outlier_factor)
-      : decay_(decay), outlier_factor_(outlier_factor) {}
-
-  /// Folds in one (x, y) measurement. Returns true when the sample was
-  /// clamped as an outlier (counted by the caller, still partially used).
-  bool Add(double x, double y);
-
-  /// Least-squares estimate at `x`; only meaningful when ready().
-  double Predict(double x) const;
-
-  double slope() const;
-  double intercept() const;
-  /// Residual scale: EWMA of |y - fit(x)|.
-  double mean_abs_deviation() const { return mad_; }
-  uint64_t samples() const { return samples_; }
-  /// True once the moments pin down a line (>= 2 samples with distinct x; a
-  /// degenerate all-same-x population keeps the fit unready and the caller on
-  /// its seed plan).
-  bool ready() const;
-
- private:
-  double decay_ = 0.05;
-  double outlier_factor_ = 4.0;
-  // Exponentially decayed moments: sum of w, wx, wy, wxx, wxy.
-  double sw_ = 0.0, swx_ = 0.0, swy_ = 0.0, swxx_ = 0.0, swxy_ = 0.0;
-  double mad_ = 0.0;
-  uint64_t samples_ = 0;
-};
 
 }  // namespace serve
 }  // namespace rita

@@ -25,7 +25,7 @@ enum class StatusCode {
   kIoError = 4,
   kNotSupported = 5,
   kInternal = 6,
-  kDeadlineUnmeetable = 7,
+  kDeadlineUnmeetable = 7,  // no engine path sets it; the wire ID stays pinned
   kUnavailable = 8,
 };
 
@@ -56,11 +56,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  /// The request's deadline already cannot be met (admission shedding).
-  /// Retryable with a later deadline, unlike kInvalidArgument.
-  static Status DeadlineUnmeetable(std::string msg) {
-    return Status(StatusCode::kDeadlineUnmeetable, std::move(msg));
   }
   /// A remote peer (replica, router) is unreachable, timed out, or went away
   /// mid-request. Retryable: the fleet may have live capacity elsewhere.

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <algorithm>
@@ -273,13 +274,53 @@ TEST_F(KernelBackendsTest, ElementwiseVectorKernelsEquivalence) {
   }
 }
 
-// A NaN gets the same exp whether it lands in a vector lane or in the
-// scalar tail (and the tail never converts NaN to int, which UBSan flags).
+// exp(NaN) is NaN whether the NaN lands in a vector lane or in the scalar
+// tail (and the tail never converts NaN to int, which UBSan flags).
 TEST_F(KernelBackendsTest, SimdExpTailMatchesVectorLaneOnNaN) {
   std::vector<float> x(9, std::nanf("")), y(9);
   simd().exp_array(x.data(), y.data(), 9);
-  EXPECT_EQ(std::memcmp(&y[8], &y[0], sizeof(float)), 0)
-      << "lane " << y[0] << " vs tail " << y[8];
+  EXPECT_TRUE(std::isnan(y[0])) << "lane " << y[0];
+  EXPECT_TRUE(std::isnan(y[8])) << "tail " << y[8];
+}
+
+// Both backends carry NaN through every exp-based kernel: a NaN input gives
+// a NaN output at its own position (and only there) in a vector lane (index
+// 2) and in the loop tail (index 9), and a softmax row holding a NaN score is
+// NaN throughout.
+TEST_F(KernelBackendsTest, BackendsAgreeOnNaNPropagation) {
+  constexpr int64_t kN = 11;  // one 8-wide vector + a 3-element tail
+  Rng rng(29);
+  std::vector<float> x = RandomVec(kN, &rng);
+  x[2] = std::nanf("");
+  x[9] = std::nanf("");
+  using ArrayFn = void (*)(const float*, float*, int64_t);
+  const std::pair<const char*, ArrayFn KernelTable::*> kernels[] = {
+      {"exp_array", &KernelTable::exp_array},
+      {"tanh_array", &KernelTable::tanh_array},
+      {"sigmoid_array", &KernelTable::sigmoid_array},
+      {"gelu_array", &KernelTable::gelu_array}};
+  for (const auto& [name, kernel] : kernels) {
+    std::vector<float> y1(kN), y2(kN);
+    (scalar().*kernel)(x.data(), y1.data(), kN);
+    (simd().*kernel)(x.data(), y2.data(), kN);
+    for (int64_t i = 0; i < kN; ++i) {
+      const bool want_nan = i == 2 || i == 9;
+      EXPECT_EQ(std::isnan(y1[i]), want_nan) << name << " scalar at " << i;
+      EXPECT_EQ(std::isnan(y2[i]), want_nan) << name << " simd at " << i;
+    }
+  }
+
+  for (int64_t nan_at : {2, 9}) {
+    std::vector<float> row = RandomVec(kN, &rng);
+    row[nan_at] = std::nanf("");
+    std::vector<float> y1(kN), y2(kN);
+    scalar().softmax_rows(row.data(), y1.data(), 1, kN, 0.5f, nullptr);
+    simd().softmax_rows(row.data(), y2.data(), 1, kN, 0.5f, nullptr);
+    for (int64_t j = 0; j < kN; ++j) {
+      EXPECT_TRUE(std::isnan(y1[j])) << "softmax scalar, NaN at " << nan_at;
+      EXPECT_TRUE(std::isnan(y2[j])) << "softmax simd, NaN at " << nan_at;
+    }
+  }
 }
 
 TEST_F(KernelBackendsTest, DistanceKernelsEquivalence) {

@@ -482,9 +482,8 @@ TEST(EngineObsTest, ExpositionHasOneInstancePerModelAndSumsToStats) {
   const InferenceEngineStats stats = engine.stats();
   const std::map<std::string, uint64_t> counter_totals = {
       {"rita_requests_completed_total", stats.completed},
-      {"rita_requests_rejected_total", stats.rejected_invalid +
-                                           stats.rejected_backpressure +
-                                           stats.rejected_hopeless},
+      {"rita_requests_rejected_total",
+       stats.rejected_invalid + stats.rejected_backpressure},
       {"rita_batches_total", stats.batches},
       {"rita_cache_hits_total", stats.cache_hits},
       {"rita_cache_misses_total", stats.cache_misses},
