@@ -1,12 +1,13 @@
-// Micro-benchmark (google-benchmark): the grouping engine — matmul-form vs
-// naive pairwise distances (the Sec. 4.4 "GPU-friendly" reformulation),
-// k-means cost vs (n, N), the scheduler's merge test, and the batch planner's
-// probe vs predict latency.
+// Micro-benchmark (google-benchmark): the grouping engine — the fused
+// assignment kernel vs naive pairwise distances (the Sec. 4.4 "GPU-friendly"
+// reformulation), k-means cost vs (n, N), the scheduler's merge test, and the
+// batch planner's probe vs predict latency.
 #include <benchmark/benchmark.h>
 
 #include "cluster/kmeans.h"
 #include "core/adaptive_scheduler.h"
 #include "core/batch_planner.h"
+#include "linalg/kernels/kernels.h"
 
 namespace rita {
 namespace bench {
@@ -19,15 +20,21 @@ Tensor MakePoints(int64_t n, uint64_t seed) {
   return Tensor::RandNormal({n, kDim}, &rng);
 }
 
-void BM_PairwiseDistMatmul(benchmark::State& state) {
-  Tensor a = MakePoints(state.range(0), 1);
+// The fused assignment step (distances reduced to a running argmin inside
+// the kernel) against 64 centroids.
+void BM_KMeansAssign(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Tensor a = MakePoints(n, 1);
   Tensor b = MakePoints(64, 2);
+  std::vector<int64_t> assignment(n);
+  std::vector<float> best(n);
   for (auto _ : state) {
-    Tensor d = cluster::PairwiseSqDistMatmul(a, b);
-    benchmark::DoNotOptimize(d.data());
+    kernels::KMeansAssign(a.data(), b.data(), n, 64, kDim, assignment.data(),
+                          best.data());
+    benchmark::DoNotOptimize(best.data());
   }
 }
-BENCHMARK(BM_PairwiseDistMatmul)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_KMeansAssign)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_PairwiseDistNaive(benchmark::State& state) {
   Tensor a = MakePoints(state.range(0), 1);

@@ -10,45 +10,6 @@
 namespace rita {
 namespace cluster {
 
-Tensor PairwiseSqDistMatmul(const Tensor& a, const Tensor& b,
-                            ExecutionContext* context, bool parallel) {
-  RITA_CHECK_EQ(a.dim(), 2);
-  RITA_CHECK_EQ(b.dim(), 2);
-  RITA_CHECK_EQ(a.size(1), b.size(1));
-  const int64_t n = a.size(0), m = b.size(0), d = a.size(1);
-  if (context == nullptr) context = ExecutionContext::Default();
-  // -2 a.b via GEMM (the bottleneck, matmul-friendly), then rank-1 corrections.
-  // Row-sharded over the *context's* pool (not the tensor kernels' global
-  // pool) so the caller's parallelism contract holds; each shard runs a
-  // serial inner GEMM over its rows and applies its rows' corrections, so the
-  // memory-bound correction sweep scales with the GEMM. Per-row arithmetic
-  // order is fixed, so the result is pool-width-independent.
-  Tensor dist({n, m});
-  float* pd = dist.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  std::vector<float> b2(m);
-  kernels::RowSqNorms(pb, b2.data(), m, d);
-  auto rows = [&](int64_t r0, int64_t r1) {
-    ops::Gemm2D(pa + r0 * d, pb, pd + r0 * m, r1 - r0, m, d,
-                /*trans_a=*/false, /*trans_b=*/true, /*parallel=*/false);
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* arow = pa + i * d;
-      float a2;
-      kernels::RowSqNorms(arow, &a2, 1, d);
-      // Clamp: floating-point cancellation can produce tiny negatives.
-      kernels::SqDistCombine(pd + i * m, b2.data(), a2, m);
-    }
-  };
-  if (parallel) {
-    const int64_t min_rows = std::max<int64_t>(1, (1 << 14) / std::max<int64_t>(1, m * d));
-    context->ParallelFor(0, n, rows, min_rows);
-  } else {
-    rows(0, n);
-  }
-  return dist;
-}
-
 Tensor PairwiseSqDistNaive(const Tensor& a, const Tensor& b) {
   RITA_CHECK_EQ(a.size(1), b.size(1));
   const int64_t n = a.size(0), m = b.size(0), d = a.size(1);
@@ -153,26 +114,19 @@ KMeansResult RunKMeans(const Tensor& points, const KMeansOptions& options, Rng* 
   std::vector<int64_t> assignment(n, 0);
   std::vector<float> best_d2(n, 0.0f);
 
+  // Fused assignment step (Sec. 4.4's |x|^2 + |c|^2 - 2 x.c, reduced to a
+  // running argmin inside the kernel): per-point slots, so sharding is free;
+  // the inertia reduction runs serially over best_d2 afterwards to keep the
+  // summation order independent of the pool width.
   auto assign = [&](const Tensor& cents) -> double {
-    const Tensor dist =
-        PairwiseSqDistMatmul(points, cents, context, options.parallel);
     const int64_t m = cents.size(0);
-    const float* pd = dist.data();
-    // Per-point argmin: every iteration writes its own slot, so sharding is
-    // free; the inertia reduction happens serially over best_d2 afterwards to
-    // keep the summation order independent of the pool width.
+    const float* pp = points.data();
+    const float* pc = cents.data();
     shard(
         0, n,
         [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            const float* row = pd + i * m;
-            int64_t best = 0;
-            for (int64_t j = 1; j < m; ++j) {
-              if (row[j] < row[best]) best = j;
-            }
-            assignment[i] = best;
-            best_d2[i] = row[best];
-          }
+          kernels::KMeansAssign(pp + i0 * d, pc, i1 - i0, m, d,
+                                assignment.data() + i0, best_d2.data() + i0);
         },
         /*min_shard=*/kReductionBlock);
     double inertia = 0.0;

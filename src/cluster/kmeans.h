@@ -1,8 +1,10 @@
 // GPU-friendly k-means (Sec. 4.4 of the paper). The distance computation is
 // reformulated as |v|^2 + |c|^2 - 2 v.c so the bottleneck becomes a matrix
-// product; on this CPU substrate the same reformulation routes the work
-// through the blocked parallel GEMM. A handful of Lloyd iterations suffice
-// for grouping quality (the paper's observation), so max_iters defaults low.
+// product; on this CPU substrate the same reformulation runs as one fused
+// kernel-table entry (kernels::KMeansAssign): a register-tiled dot-product
+// block with the argmin folded in, so no n x N distance matrix is ever built
+// or scanned. A handful of Lloyd iterations suffice for grouping quality
+// (the paper's observation), so max_iters defaults low.
 #ifndef RITA_CLUSTER_KMEANS_H_
 #define RITA_CLUSTER_KMEANS_H_
 
@@ -26,11 +28,11 @@ struct KMeansOptions {
   /// k-means++ seeding (better quality, costs an extra pass per cluster);
   /// plain random distinct points otherwise.
   bool kmeanspp_init = false;
-  /// Shard the inner loops (distance GEMM, assignment, centroid update)
-  /// across the execution context's pool. Callers that already parallelize
-  /// at a coarser grain — group attention's per-(batch*head) slice loop —
-  /// set this false so each slice's k-means stays on its own thread instead
-  /// of fanning out again. Results are bit-identical either way.
+  /// Shard the inner loops (fused assignment, centroid update) across the
+  /// execution context's pool. Callers that already parallelize at a
+  /// coarser grain — group attention's per-(batch*head) slice loop — set
+  /// this false so each slice's k-means stays on its own thread instead of
+  /// fanning out again. Results are bit-identical either way.
   bool parallel = true;
 };
 
@@ -42,13 +44,6 @@ struct KMeansResult {
 
   int64_t num_clusters() const { return centroids.size(0); }
 };
-
-/// Squared Euclidean distance matrix [n, m] via |a|^2 + |b|^2 - 2 a.b (matmul).
-/// With `parallel`, the GEMM row-shards across `context`'s pool (null =
-/// default context); row sharding keeps every output row's reduction order
-/// fixed, so the result does not depend on the pool width.
-Tensor PairwiseSqDistMatmul(const Tensor& a, const Tensor& b,
-                            ExecutionContext* context = nullptr, bool parallel = true);
 
 /// Reference implementation via explicit pairwise differences.
 Tensor PairwiseSqDistNaive(const Tensor& a, const Tensor& b);

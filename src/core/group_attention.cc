@@ -129,12 +129,20 @@ class GroupAttentionFunction : public ag::Function {
   std::shared_ptr<ExecutionContext*> context_cell_;
 };
 
-// Row-tile count per slice: enough tiles to feed the pool when few slices
-// exist (B=1), without shattering short sequences. Purely a scheduling
-// choice — the fused kernel is row-exact, so any tiling gives the same bits.
-int64_t TilesPerSlice(int64_t slices, int64_t rows, int threads) {
+// Row-tile count for one slice's fused attention. Tiling pays only when the
+// slices alone cannot fill the pool and the slice's attend work (scores plus
+// weighted sum, 2 * rows * ng * d multiply-adds) clears kRowParallelGrain;
+// each tile then keeps at least a quarter grain. Measured serial vs 2-4
+// tiles at B*H=2, d=32 on a 4-vCPU AVX2 host: 41x16 groups 10.9 vs 20.5 us,
+// 128x32 41 vs 36-65 us, 251x32 51 vs 43-69 us, 400x64 122 vs 88-104 us,
+// 626x64 193-202 vs 114-138 us. Purely a scheduling choice — the fused
+// kernel is row-exact, so any tiling gives the same bits.
+int64_t TilesPerSlice(int64_t slices, int64_t rows, int64_t macs_per_row,
+                      int threads) {
+  const int64_t work = rows * macs_per_row;
+  if (slices >= threads || work < ops::kRowParallelGrain) return 1;
   const int64_t want = (2 * threads + slices - 1) / slices;
-  const int64_t cap = std::max<int64_t>(1, rows / 16);
+  const int64_t cap = work / (ops::kRowParallelGrain / 4);
   return std::max<int64_t>(1, std::min(want, cap));
 }
 
@@ -180,8 +188,7 @@ cluster::KMeansOptions GroupAttentionMechanism::InferenceKMeans(int64_t n) const
   km.max_iters = options_.kmeans_iters;
   km.kmeanspp_init = options_.kmeanspp_init;
   // The per-slice loop is the parallel grain; each slice's k-means and GEMMs
-  // run inline on that slice's thread. (Forward flips this to true when the
-  // slices alone cannot fill the pool — bit-identical by RunKMeans' contract.)
+  // run inline on that slice's thread.
   km.parallel = false;
   return km;
 }
@@ -234,16 +241,13 @@ ag::Variable GroupAttentionMechanism::Forward(const ag::Variable& q,
        k.grad_fn() != nullptr || v.requires_grad() || v.grad_fn() != nullptr);
 
   // Narrow inference (fewer slices than pool threads, e.g. one long series)
-  // cannot fill the pool from the slice loop alone, so each slice also
-  // spreads its Lloyd iterations across the pool and splits its attention
-  // rows into tiles. Both are bitwise neutral: RunKMeans reduces in fixed
-  // blocks whatever km.parallel says, and the fused kernel is row-exact.
+  // cannot fill the pool from the slice loop alone, so a slice whose attend
+  // work is large enough splits its attention rows into tiles (bitwise
+  // neutral: the fused kernel is row-exact). k-means stays on the slice's
+  // thread: one fused assignment pass is too short to pay for a fan-out.
   const int threads = context->num_threads();
-  const bool narrow = !need_grad && snapshots == nullptr && bh < threads;
-  cluster::KMeansOptions km = InferenceKMeans(n);
-  km.parallel = narrow;
-  const int64_t tiles = narrow ? TilesPerSlice(bh, n, threads) : 1;
-  const int64_t rows_per_tile = (n + tiles - 1) / tiles;
+  const bool tileable = !need_grad && snapshots == nullptr;
+  const cluster::KMeansOptions km = InferenceKMeans(n);
 
   // One independent unit of Alg. 1 per (batch*head) slice: group the keys,
   // score against the N representatives, group-softmax, aggregate values.
@@ -262,6 +266,8 @@ ag::Variable GroupAttentionMechanism::Forward(const ag::Variable& q,
       InferenceGrouping ig =
           GroupSliceForInference(keys, pv + s * n * d, km, &slice_rng, context);
       const int64_t ng = ig.num_groups();
+      const int64_t tiles =
+          tileable ? TilesPerSlice(bh, n, 2 * ng * d, threads) : 1;
 
       Tensor a_tilde;
       if (need_grad) {
@@ -281,6 +287,7 @@ ag::Variable GroupAttentionMechanism::Forward(const ag::Variable& q,
       } else if (tiles == 1) {
         GroupAttendRows(pq + s * n * d, ig, po + s * n * d, n, d, scale, &scratch);
       } else {
+        const int64_t rows_per_tile = (n + tiles - 1) / tiles;
         context->ParallelFor(0, tiles, [&](int64_t t0, int64_t t1) {
           ScratchArena::Lease tile_scratch = context->arena()->Acquire();
           for (int64_t t = t0; t < t1; ++t) {

@@ -33,11 +33,9 @@ struct InferenceGrouping {
 
 /// Groups one slice's keys and aggregates its values (Alg. 1 steps 1-2).
 /// `keys` is the slice's [n, d] key matrix; `v_slice` points at its n*d
-/// values. k-means runs with `km` as given — Forward sets km.parallel=true
-/// when there are fewer slices than pool threads, spreading Lloyd iterations
-/// across the pool; that is bit-identical to km.parallel=false by RunKMeans'
-/// fixed reduction-block contract. Records a `kmeans_grouping` kernel span
-/// when the calling thread carries a trace.
+/// values. k-means runs with `km` as given (Forward passes InferenceKMeans,
+/// so each slice groups on its own thread). Records a `kmeans_grouping`
+/// kernel span when the calling thread carries a trace.
 InferenceGrouping GroupSliceForInference(const Tensor& keys, const float* v_slice,
                                          const cluster::KMeansOptions& km, Rng* rng,
                                          ExecutionContext* context);
@@ -99,9 +97,8 @@ class GroupAttentionMechanism : public attn::AttentionMechanism {
   void set_seed(uint64_t seed) { seed_ = seed; }
 
   /// The k-means configuration Forward uses for an n-token slice, with
-  /// km.parallel=false (the slice loop is the parallel grain; Forward flips
-  /// it only for narrow inference, which is bitwise neutral). Staged callers
-  /// reuse this to group exactly like Forward.
+  /// km.parallel=false (the slice loop is the parallel grain). Staged
+  /// callers reuse this to group exactly like Forward.
   cluster::KMeansOptions InferenceKMeans(int64_t n) const;
 
  protected:

@@ -71,9 +71,14 @@ struct KernelTable {
   /// d2[i] = |points_i - center|^2.
   void (*sqdist_to_point)(const float* points, const float* center, float* d2,
                           int64_t n, int64_t d);
-  /// row[j] = max(0, a2 + b2[j] - 2 row[j]) — the rank-1 correction turning a
-  /// GEMM row of dot products into squared distances.
-  void (*sqdist_combine)(float* row, const float* b2, float a2, int64_t m);
+  /// k-means assignment step, fused: for each of the `n` rows x_i of `points`
+  /// [n, d], the nearest of the `m >= 1` rows c_j of `centroids` [m, d] under
+  /// max(|x_i|^2 + |c_j|^2 - 2 x_i.c_j, 0) — NaN clamps to 0 — with the
+  /// lowest index winning ties. Writes assignment[i] and best_d2[i]; no n x m
+  /// distance matrix is built. Rows are independent, so callers shard over
+  /// disjoint point ranges freely.
+  void (*kmeans_assign)(const float* points, const float* centroids, int64_t n,
+                        int64_t m, int64_t d, int64_t* assignment, float* best_d2);
 };
 
 /// True when the CPU (and build) can run the SIMD backend.
@@ -154,8 +159,9 @@ inline void SqDistToPoint(const float* points, const float* center, float* d2,
                           int64_t n, int64_t d) {
   Active().sqdist_to_point(points, center, d2, n, d);
 }
-inline void SqDistCombine(float* row, const float* b2, float a2, int64_t m) {
-  Active().sqdist_combine(row, b2, a2, m);
+inline void KMeansAssign(const float* points, const float* centroids, int64_t n,
+                         int64_t m, int64_t d, int64_t* assignment, float* best_d2) {
+  Active().kmeans_assign(points, centroids, n, m, d, assignment, best_d2);
 }
 
 namespace internal {

@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace rita {
 namespace kernels {
@@ -383,54 +385,70 @@ void GemmBNotTransposed(const float* a, int64_t a_row_stride, int64_t a_k_stride
   }
 }
 
-// NT case: C[i,j] = dot(A_i, B_j), both contiguous. 4 columns share one pass
-// over A's row; 8-wide FMA dot with horizontal reduction at the end.
+// Packs B [n, k] (row-major, used transposed) into ceil(n/16) panels of
+// [k][16] — panel p holds columns 16p..16p+15 of op(B), zero-padded past n —
+// so the NN micro-kernel can stream B^T row by row. The buffer is reused
+// per thread; callers never nest two packs.
+const float* PackTransposedPanels(const float* b, int64_t n, int64_t k,
+                                  std::vector<float>* buf) {
+  const int64_t panels = (n + 15) / 16;
+  buf->resize(panels * k * 16);
+  float* out = buf->data();
+  for (int64_t p = 0; p < panels; ++p) {
+    float* panel = out + p * k * 16;
+    const int64_t cols = std::min<int64_t>(16, n - p * 16);
+    for (int64_t jj = 0; jj < cols; ++jj) {
+      const float* brow = b + (p * 16 + jj) * k;
+      for (int64_t kk = 0; kk < k; ++kk) panel[kk * 16 + jj] = brow[kk];
+    }
+    for (int64_t jj = cols; jj < 16; ++jj) {
+      for (int64_t kk = 0; kk < k; ++kk) panel[kk * 16 + jj] = 0.0f;
+    }
+  }
+  return out;
+}
+
+// kRows rows of C = A B^T from packed panels. The last, padded panel goes
+// through a stack tile so the stores stay inside C's n columns.
+template <int kRows>
+inline void PackedRowsNT(const float* arow, const float* packed, float* crow,
+                         int64_t n, int64_t k) {
+  int64_t p = 0;
+  for (; (p + 1) * 16 <= n; ++p) {
+    MicroKernelNx16<kRows>(arow, k, 1, packed + p * k * 16, 16, crow + p * 16, n, k);
+  }
+  const int64_t cols = n - p * 16;
+  if (cols == 0) return;
+  float tile[kRows * 16];
+  MicroKernelNx16<kRows>(arow, k, 1, packed + p * k * 16, 16, tile, 16, k);
+  for (int i = 0; i < kRows; ++i) {
+    std::copy(tile + i * 16, tile + i * 16 + cols, crow + i * n + p * 16);
+  }
+}
+
+// NT case: C[i,j] = dot(A_i, B_j). B is packed into 16-column panels of B^T
+// once per call, then 4x16 register tiles run the same kk-ascending FMA chain
+// as the NN kernel — no horizontal sum per output element. Every element's
+// arithmetic is independent of the row range and of its column position, so
+// row-sharded and row-tiled callers get the same bits.
 void GemmNT(const float* a, const float* b, float* c, int64_t n, int64_t k,
             int64_t r0, int64_t r1) {
-  for (int64_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-      __m256 s2 = _mm256_setzero_ps(), s3 = _mm256_setzero_ps();
-      int64_t kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        const __m256 av = _mm256_loadu_ps(arow + kk);
-        s0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + kk), s0);
-        s1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + kk), s1);
-        s2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + kk), s2);
-        s3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + kk), s3);
-      }
-      float t0 = HorizontalSum(s0), t1 = HorizontalSum(s1);
-      float t2 = HorizontalSum(s2), t3 = HorizontalSum(s3);
-      for (; kk < k; ++kk) {
-        const float av = arow[kk];
-        t0 = std::fmaf(av, b0[kk], t0);
-        t1 = std::fmaf(av, b1[kk], t1);
-        t2 = std::fmaf(av, b2[kk], t2);
-        t3 = std::fmaf(av, b3[kk], t3);
-      }
-      crow[j] = t0;
-      crow[j + 1] = t1;
-      crow[j + 2] = t2;
-      crow[j + 3] = t3;
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      __m256 s = _mm256_setzero_ps();
-      int64_t kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        s = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk), _mm256_loadu_ps(brow + kk), s);
-      }
-      float t = HorizontalSum(s);
-      for (; kk < k; ++kk) t = std::fmaf(arow[kk], brow[kk], t);
-      crow[j] = t;
-    }
+  thread_local std::vector<float> buf;
+  const float* packed = PackTransposedPanels(b, n, k, &buf);
+  int64_t i = r0;
+  for (; i + 4 <= r1; i += 4) PackedRowsNT<4>(a + i * k, packed, c + i * n, n, k);
+  switch (r1 - i) {
+    case 3:
+      PackedRowsNT<3>(a + i * k, packed, c + i * n, n, k);
+      break;
+    case 2:
+      PackedRowsNT<2>(a + i * k, packed, c + i * n, n, k);
+      break;
+    case 1:
+      PackedRowsNT<1>(a + i * k, packed, c + i * n, n, k);
+      break;
+    default:
+      break;
   }
 }
 
@@ -621,18 +639,94 @@ void SqDistToPointAvx2(const float* points, const float* center, float* d2,
   }
 }
 
-void SqDistCombineAvx2(float* row, const float* b2, float a2, int64_t m) {
-  const __m256 va2 = _mm256_set1_ps(a2);
-  const __m256 vzero = _mm256_setzero_ps();
-  const __m256 vtwo = _mm256_set1_ps(2.0f);
-  int64_t j = 0;
-  for (; j + 8 <= m; j += 8) {
-    const __m256 v = _mm256_fnmadd_ps(vtwo, _mm256_loadu_ps(row + j),
-                                      _mm256_add_ps(va2, _mm256_loadu_ps(b2 + j)));
-    _mm256_storeu_ps(row + j, _mm256_max_ps(vzero, v));
+// Running argmin of kRows points against every centroid panel. Per panel
+// the GEMM's own micro-kernel yields 2 x 8 dot products per row; they become
+// clamped distances max(a2 + c2 - 2 dot, 0) — max_ps returns its second
+// operand on NaN, so NaN -> 0 as in the scalar backend — and lane l of the
+// per-row best vector keeps the first strict minimum of columns l, l+8,
+// l+16, ... in ascending order. The final lane reduction breaks value ties
+// by the lower column, so the winner is the lowest-index minimum overall.
+template <int kRows>
+inline void AssignRows(const float* x, int64_t d, const float* packed,
+                       const float* c2, int64_t m, int64_t* assignment,
+                       float* best_d2) {
+  float a2[kRows];
+  RowSqNormsAvx2(x, a2, kRows, d);
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 iota = _mm256_setr_ps(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256 vm = _mm256_set1_ps(static_cast<float>(m));
+  __m256 best_val[kRows], best_idx[kRows];
+  for (int i = 0; i < kRows; ++i) {
+    best_val[i] = inf;
+    best_idx[i] = iota;
   }
-  for (; j < m; ++j) {
-    row[j] = std::max(0.0f, std::fmaf(-2.0f, row[j], a2 + b2[j]));
+  const int64_t panels = (m + 15) / 16;
+  for (int64_t p = 0; p < panels; ++p) {
+    const float* panel = packed + p * d * 16;
+    alignas(32) float dots[kRows * 16];
+    MicroKernelNx16<kRows>(x, d, 1, panel, 16, dots, 16, d);
+    const __m256 c2_lo = _mm256_loadu_ps(c2 + p * 16);
+    const __m256 c2_hi = _mm256_loadu_ps(c2 + p * 16 + 8);
+    const __m256 idx_lo = _mm256_add_ps(_mm256_set1_ps(static_cast<float>(p * 16)), iota);
+    const __m256 idx_hi = _mm256_add_ps(idx_lo, _mm256_set1_ps(8.0f));
+    // Padding columns of the last panel never win.
+    const bool padded = (p + 1) * 16 > m;
+    const __m256 valid_lo = _mm256_cmp_ps(idx_lo, vm, _CMP_LT_OQ);
+    const __m256 valid_hi = _mm256_cmp_ps(idx_hi, vm, _CMP_LT_OQ);
+    for (int i = 0; i < kRows; ++i) {
+      const __m256 va2 = _mm256_set1_ps(a2[i]);
+      const __m256 dot_lo = _mm256_load_ps(dots + i * 16);
+      const __m256 dot_hi = _mm256_load_ps(dots + i * 16 + 8);
+      __m256 d_lo =
+          _mm256_max_ps(_mm256_fnmadd_ps(two, dot_lo, _mm256_add_ps(va2, c2_lo)), zero);
+      __m256 d_hi =
+          _mm256_max_ps(_mm256_fnmadd_ps(two, dot_hi, _mm256_add_ps(va2, c2_hi)), zero);
+      if (padded) {
+        d_lo = _mm256_blendv_ps(inf, d_lo, valid_lo);
+        d_hi = _mm256_blendv_ps(inf, d_hi, valid_hi);
+      }
+      __m256 lt = _mm256_cmp_ps(d_lo, best_val[i], _CMP_LT_OQ);
+      best_val[i] = _mm256_blendv_ps(best_val[i], d_lo, lt);
+      best_idx[i] = _mm256_blendv_ps(best_idx[i], idx_lo, lt);
+      lt = _mm256_cmp_ps(d_hi, best_val[i], _CMP_LT_OQ);
+      best_val[i] = _mm256_blendv_ps(best_val[i], d_hi, lt);
+      best_idx[i] = _mm256_blendv_ps(best_idx[i], idx_hi, lt);
+    }
+  }
+  for (int i = 0; i < kRows; ++i) {
+    alignas(32) float vals[8], idxs[8];
+    _mm256_store_ps(vals, best_val[i]);
+    _mm256_store_ps(idxs, best_idx[i]);
+    int best = 0;
+    for (int l = 1; l < 8; ++l) {
+      if (vals[l] < vals[best] || (vals[l] == vals[best] && idxs[l] < idxs[best])) {
+        best = l;
+      }
+    }
+    assignment[i] = static_cast<int64_t>(idxs[best]);
+    best_d2[i] = vals[best];
+  }
+}
+
+// Centroids (and their norms) are packed once per call into the 16-column
+// panels the GEMM uses — m x d floats, L1-resident at the grouping shapes
+// (64 x 32 = 8 KB) — and every point is scored against them in 4-row tiles.
+void KMeansAssignAvx2(const float* points, const float* centroids, int64_t n,
+                      int64_t m, int64_t d, int64_t* assignment, float* best_d2) {
+  thread_local std::vector<float> buf;
+  thread_local std::vector<float> c2;
+  const float* packed = PackTransposedPanels(centroids, m, d, &buf);
+  const int64_t padded = (m + 15) / 16 * 16;
+  c2.assign(padded, 0.0f);
+  RowSqNormsAvx2(centroids, c2.data(), m, d);
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    AssignRows<4>(points + i * d, d, packed, c2.data(), m, assignment + i, best_d2 + i);
+  }
+  for (; i < n; ++i) {
+    AssignRows<1>(points + i * d, d, packed, c2.data(), m, assignment + i, best_d2 + i);
   }
 }
 
@@ -647,7 +741,7 @@ const KernelTable* SimdTable() {
       ExpArrayAvx2,      TanhArrayAvx2,           SigmoidArrayAvx2,
       GeluArrayAvx2,     AxpyAvx2,                ScaleAvx2,
       AddAvx2,           AccumulateF64Avx2,       RowSqNormsAvx2,
-      SqDistToPointAvx2, SqDistCombineAvx2,
+      SqDistToPointAvx2, KMeansAssignAvx2,
   };
   return &table;
 }

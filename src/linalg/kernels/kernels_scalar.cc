@@ -7,6 +7,7 @@
 // multiply+add into an FMA behind our back either.)
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/kernels/kernels.h"
 
@@ -217,10 +218,34 @@ void SqDistToPointScalar(const float* points, const float* center, float* d2,
   }
 }
 
-void SqDistCombineScalar(float* row, const float* b2, float a2, int64_t m) {
-  for (int64_t j = 0; j < m; ++j) {
-    // Clamp: floating-point cancellation can produce tiny negatives.
-    row[j] = std::max(0.0f, a2 + b2[j] - 2.0f * row[j]);
+// Per point: one NT GEMM row of dot products (GemmScalar's unrolled dot),
+// the rank-1 correction a2 + c2[j] - 2 dot clamped at 0 (std::max returns
+// its first operand for NaN, so NaN -> 0), then a strict-< argmin. The
+// expression order is the one the scalar bit-identity gates pin
+// (KernelScalarPinTest.KMeansAssignMatchesHistoricalPath); only one row of
+// distances is live at a time.
+void KMeansAssignScalar(const float* points, const float* centroids, int64_t n,
+                        int64_t m, int64_t d, int64_t* assignment, float* best_d2) {
+  std::vector<float> c2(m), row(m);
+  RowSqNormsScalar(centroids, c2.data(), m, d);
+  for (int64_t i = 0; i < n; ++i) {
+    const float* x = points + i * d;
+    GemmScalar(x, centroids, row.data(), 1, m, d, /*trans_a=*/false,
+               /*trans_b=*/true, 0, 1);
+    float a2;
+    RowSqNormsScalar(x, &a2, 1, d);
+    int64_t best = 0;
+    float best_v = 0.0f;
+    for (int64_t j = 0; j < m; ++j) {
+      // Clamp: floating-point cancellation can produce tiny negatives.
+      const float v = std::max(0.0f, a2 + c2[j] - 2.0f * row[j]);
+      if (j == 0 || v < best_v) {
+        best = j;
+        best_v = v;
+      }
+    }
+    assignment[i] = best;
+    best_d2[i] = best_v;
   }
 }
 
@@ -235,7 +260,7 @@ const KernelTable* ScalarTable() {
       ExpArrayScalar,        TanhArrayScalar,           SigmoidArrayScalar,
       GeluArrayScalar,       AxpyScalar,                ScaleScalar,
       AddScalar,             AccumulateF64Scalar,       RowSqNormsScalar,
-      SqDistToPointScalar,   SqDistCombineScalar,
+      SqDistToPointScalar,   KMeansAssignScalar,
   };
   return &table;
 }

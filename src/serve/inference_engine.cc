@@ -15,8 +15,8 @@ namespace serve {
 
 namespace {
 
-double MsSince(ServeClock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(ServeClock::now() - t0).count();
+double MsBetween(ServeClock::time_point t0, ServeClock::time_point t1) {
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 Scheduler::Options SchedulerOptions(const InferenceEngineOptions& options) {
@@ -502,7 +502,9 @@ void InferenceEngine::ExecuteBatch(std::vector<ScheduledRequest> batch) {
     response.status = Status::OK();
     response.output = std::move(row);
     response.context = std::move(context);
-    response.queue_ms = MsSince(batch[i].enqueued) - compute_ms;
+    // From the batch's one resolve stamp, so rider i's wait does not absorb
+    // the per-rider work above for riders 0..i-1.
+    response.queue_ms = MsBetween(batch[i].enqueued, resolved_at) - compute_ms;
     if (batch[i].request.deadline != kNoDeadline &&
         resolved_at > batch[i].request.deadline) {
       ++missed_deadlines;

@@ -1,7 +1,7 @@
 // Correctness tests for group attention (the paper's core contribution):
 // Lemma 3 exact-equivalence, Lemma 1 error bound, fused-backward gradcheck,
-// and pool-width bit-identity of the narrow (pool-parallel k-means, row-tiled
-// attention) inference path. Run under TSan and ASan/UBSan in CI.
+// and pool-width bit-identity of the narrow (row-tiled attention) inference
+// path. Run under TSan and ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -255,12 +255,13 @@ TEST(GroupAttentionTest, FewerGroupsUseLessScoreMemory) {
   EXPECT_LT(mech.ScoreMatrixElements(n), vanilla.ScoreMatrixElements(n));
 }
 
-// With fewer slices than pool threads, inference spreads each slice's
-// k-means across the pool and splits its attention rows into tiles. Neither
-// may change a bit: width 1 (never narrow) is the reference, width 2 is wide
-// for 2 slices, and widths 3/4/8 cut 200 rows into 3/4/8 uneven tiles.
+// With fewer slices than pool threads, inference splits a slice's attention
+// rows into tiles once its attend work clears the row-tile grain (2000 rows
+// x 16 groups x d=32 does). Tiling may not change a bit: width 1 (never
+// narrow) is the reference, width 2 is wide for 2 slices, and widths 3/4/8
+// cut 2000 rows into 3/4/7 uneven tiles.
 TEST(GroupAttentionTest, NarrowInferenceBitIdenticalAcrossPoolWidths) {
-  const int64_t bh = 2, n = 200, d = 8;
+  const int64_t bh = 2, n = 2000, d = 32;
   Rng data_rng(9);
   const Tensor q = Tensor::RandNormal({bh, n, d}, &data_rng);
   const Tensor k = Tensor::RandNormal({bh, n, d}, &data_rng);

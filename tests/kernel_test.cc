@@ -8,15 +8,18 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <algorithm>
 
+#include "cluster/kmeans.h"
 #include "core/group_attention.h"
 #include "linalg/kernels/kernels.h"
 #include "tensor/quantized_tensor.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 #include "util/execution_context.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -339,11 +342,274 @@ TEST_F(KernelBackendsTest, DistanceKernelsEquivalence) {
     simd().sqdist_to_point(pts.data(), center.data(), d2.data(), rows, d);
     ExpectClose(d1, d2, 1e-5f, "sqdist_to_point");
 
-    std::vector<float> row1 = RandomVec(rows, &rng), row2 = row1;
-    std::vector<float> b2 = RandomVec(rows, &rng, 0.0f, 4.0f);
-    scalar().sqdist_combine(row1.data(), b2.data(), 1.3f, rows);
-    simd().sqdist_combine(row2.data(), b2.data(), 1.3f, rows);
-    ExpectClose(row1, row2, 1e-5f, "sqdist_combine");
+    // kmeans_assign on both backends against the explicit pairwise
+    // differences: each reported distance is the naive row minimum.
+    const int64_t m = 5;
+    std::vector<float> cents = RandomVec(m * d, &rng);
+    Tensor naive = cluster::PairwiseSqDistNaive(Tensor::FromVector({rows, d}, pts),
+                                                Tensor::FromVector({m, d}, cents));
+    for (const KernelTable* t : {&scalar(), &simd()}) {
+      std::vector<int64_t> assignment(rows);
+      std::vector<float> best(rows);
+      t->kmeans_assign(pts.data(), cents.data(), rows, m, d, assignment.data(),
+                       best.data());
+      for (int64_t i = 0; i < rows; ++i) {
+        float row_min = naive.At({i, 0});
+        for (int64_t j = 1; j < m; ++j) row_min = std::min(row_min, naive.At({i, j}));
+        EXPECT_NEAR(best[i], row_min, 1e-4f * std::max(1.0f, row_min))
+            << "kmeans_assign d=" << d << " i=" << i;
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Fused k-means assignment and the packed NT GEMM
+// --------------------------------------------------------------------------
+
+const int64_t kAssignCentroids[] = {1, 7, 8, 15, 16, 17, 33, 64};
+const int64_t kAssignPoints[] = {1, 3, 4, 5, 41, 626};
+const int64_t kAssignDims[] = {1, 7, 32, 33};
+
+// The assignment path as it ran before the fused kernel: scalar NT GEMM into
+// an n x m matrix, row_sqnorms, a2 + b2 - 2 dot clamped at 0, then a
+// strict-< argmin per row.
+void ReferenceAssign(const float* x, const float* c, int64_t n, int64_t m, int64_t d,
+                     std::vector<int64_t>* assignment, std::vector<float>* best) {
+  const KernelTable& t = Table(Backend::kScalar);
+  std::vector<float> dist(n * m), b2(m);
+  t.row_sqnorms(c, b2.data(), m, d);
+  t.gemm(x, c, dist.data(), n, m, d, /*trans_a=*/false, /*trans_b=*/true, 0, n);
+  assignment->assign(n, 0);
+  best->assign(n, 0.0f);
+  for (int64_t i = 0; i < n; ++i) {
+    float a2;
+    t.row_sqnorms(x + i * d, &a2, 1, d);
+    float* row = dist.data() + i * m;
+    for (int64_t j = 0; j < m; ++j) row[j] = std::max(0.0f, a2 + b2[j] - 2.0f * row[j]);
+    int64_t b = 0;
+    for (int64_t j = 1; j < m; ++j) {
+      if (row[j] < row[b]) b = j;
+    }
+    (*assignment)[i] = b;
+    (*best)[i] = row[b];
+  }
+}
+
+// Centroids: random rows whose second half repeats the first, so every point
+// meets exact ties (bitwise-equal distances) that the lowest index must win.
+std::vector<float> CentroidsWithTies(int64_t m, int64_t d, Rng* rng) {
+  std::vector<float> c = RandomVec(m * d, rng);
+  const int64_t half = m / 2;
+  for (int64_t j = m - half; j < m; ++j) {
+    std::copy(c.begin() + (j - (m - half)) * d, c.begin() + (j - (m - half) + 1) * d,
+              c.begin() + j * d);
+  }
+  return c;
+}
+
+TEST(KernelScalarPinTest, KMeansAssignMatchesHistoricalPath) {
+  Rng rng(61);
+  for (int64_t m : kAssignCentroids) {
+    for (int64_t n : kAssignPoints) {
+      for (int64_t d : kAssignDims) {
+        const std::vector<float> x = RandomVec(n * d, &rng);
+        for (bool ties : {false, true}) {
+          const std::vector<float> c =
+              ties ? CentroidsWithTies(m, d, &rng) : RandomVec(m * d, &rng);
+          std::vector<int64_t> want_a, got_a(n);
+          std::vector<float> want_d, got_d(n);
+          ReferenceAssign(x.data(), c.data(), n, m, d, &want_a, &want_d);
+          Table(Backend::kScalar)
+              .kmeans_assign(x.data(), c.data(), n, m, d, got_a.data(), got_d.data());
+          ASSERT_EQ(want_a, got_a) << "m=" << m << " n=" << n << " d=" << d;
+          ASSERT_EQ(0, std::memcmp(want_d.data(), got_d.data(), sizeof(float) * n))
+              << "m=" << m << " n=" << n << " d=" << d;
+          if (ties) {
+            for (int64_t a : got_a) ASSERT_LT(a, m - m / 2);
+          }
+        }
+      }
+    }
+  }
+}
+
+// RunKMeans on the scalar backend reproduces Lloyd's iterations over the
+// historical assignment path bit for bit: random distinct init, then means
+// accumulated in point order (one reduction block, n <= 512), then the
+// empty-cluster compaction.
+TEST(KernelScalarPinTest, RunKMeansMatchesHistoricalLloyd) {
+  const Backend previous = ActiveBackend();
+  SetBackendForTesting(Backend::kScalar);
+  for (const auto& [n, d, k] : {std::tuple<int64_t, int64_t, int64_t>{41, 32, 16},
+                                {300, 32, 64}, {97, 7, 33}}) {
+    Rng data_rng(static_cast<uint64_t>(n * 131 + d));
+    const Tensor points = Tensor::RandNormal({n, d}, &data_rng);
+    cluster::KMeansOptions km;
+    km.num_clusters = k;
+    km.max_iters = 2;
+    Rng rng(5), ref_rng(5);
+    const cluster::KMeansResult got = cluster::RunKMeans(points, km, &rng);
+
+    Tensor cents = ops::GatherRows(points, ref_rng.SampleWithoutReplacement(n, k));
+    std::vector<int64_t> assignment;
+    std::vector<float> best;
+    ReferenceAssign(points.data(), cents.data(), n, k, d, &assignment, &best);
+    for (int iter = 0; iter < km.max_iters; ++iter) {
+      std::vector<float> sums(k * d, 0.0f);
+      std::vector<int64_t> counts(k, 0);
+      for (int64_t i = 0; i < n; ++i) {
+        ++counts[assignment[i]];
+        for (int64_t t = 0; t < d; ++t) sums[assignment[i] * d + t] += points.data()[i * d + t];
+      }
+      for (int64_t c = 0; c < k; ++c) {
+        if (counts[c] == 0) continue;
+        const float inv = 1.0f / static_cast<float>(counts[c]);
+        for (int64_t t = 0; t < d; ++t) cents.data()[c * d + t] = sums[c * d + t] * inv;
+      }
+      ReferenceAssign(points.data(), cents.data(), n, k, d, &assignment, &best);
+    }
+    double inertia = 0.0;
+    for (float b : best) inertia += b;
+    std::vector<int64_t> counts(k, 0), remap(k, -1), kept;
+    for (int64_t a : assignment) ++counts[a];
+    for (int64_t c = 0; c < k; ++c) {
+      if (counts[c] > 0) {
+        remap[c] = static_cast<int64_t>(kept.size());
+        kept.push_back(c);
+      }
+    }
+    const Tensor want_centroids = ops::GatherRows(cents, kept);
+    for (int64_t& a : assignment) a = remap[a];
+
+    EXPECT_EQ(got.assignment, assignment) << "n=" << n;
+    EXPECT_EQ(got.inertia, inertia) << "n=" << n;
+    ASSERT_EQ(got.centroids.numel(), want_centroids.numel()) << "n=" << n;
+    EXPECT_EQ(0, std::memcmp(got.centroids.data(), want_centroids.data(),
+                             sizeof(float) * want_centroids.numel()))
+        << "n=" << n;
+  }
+  SetBackendForTesting(previous);
+}
+
+TEST_F(KernelBackendsTest, KMeansAssignSimdMatchesScalar) {
+  Rng rng(62);
+  for (int64_t m : kAssignCentroids) {
+    for (int64_t n : kAssignPoints) {
+      for (int64_t d : kAssignDims) {
+        // Separated blobs: centroid j sits at 10j (+ a per-coordinate offset),
+        // each point within 0.5 per coordinate of its generating centroid, so
+        // both backends must pick exactly the generator.
+        std::vector<float> c(m * d);
+        for (int64_t j = 0; j < m; ++j) {
+          for (int64_t t = 0; t < d; ++t) c[j * d + t] = 10.0f * j + (t % 3);
+        }
+        std::vector<float> x(n * d);
+        std::vector<int64_t> generator(n);
+        for (int64_t i = 0; i < n; ++i) {
+          generator[i] = rng.UniformInt(m);
+          for (int64_t t = 0; t < d; ++t) {
+            x[i * d + t] = c[generator[i] * d + t] +
+                           static_cast<float>(rng.Uniform()) - 0.5f;
+          }
+        }
+        std::vector<int64_t> a1(n), a2(n);
+        std::vector<float> d1(n), d2(n);
+        scalar().kmeans_assign(x.data(), c.data(), n, m, d, a1.data(), d1.data());
+        simd().kmeans_assign(x.data(), c.data(), n, m, d, a2.data(), d2.data());
+        ASSERT_EQ(a1, generator) << "scalar m=" << m << " n=" << n << " d=" << d;
+        ASSERT_EQ(a2, generator) << "simd m=" << m << " n=" << n << " d=" << d;
+
+        // Random data with exact ties: distances agree within tolerance, the
+        // index simd picks is (within tolerance) a scalar minimum, and an
+        // exact tie always goes to the first copy.
+        const std::vector<float> xr = RandomVec(n * d, &rng);
+        const std::vector<float> cr = CentroidsWithTies(m, d, &rng);
+        scalar().kmeans_assign(xr.data(), cr.data(), n, m, d, a1.data(), d1.data());
+        simd().kmeans_assign(xr.data(), cr.data(), n, m, d, a2.data(), d2.data());
+        std::vector<int64_t> ref_a;
+        std::vector<float> ref_d;
+        const float tol = 1e-5f * 64.0f * d;  // ~eps * (|x|^2 + |c|^2)
+        for (int64_t i = 0; i < n; ++i) {
+          ASSERT_GE(a2[i], 0);
+          ASSERT_LT(a2[i], m - m / 2) << "tie not won by the first copy";
+          EXPECT_NEAR(d1[i], d2[i], tol) << "m=" << m << " n=" << n << " d=" << d;
+          ReferenceAssign(xr.data() + i * d, cr.data() + a2[i] * d, 1, 1, d, &ref_a,
+                          &ref_d);
+          EXPECT_NEAR(ref_d[0], d1[i], tol) << "m=" << m << " n=" << n << " d=" << d;
+        }
+      }
+    }
+  }
+}
+
+// A NaN key clamps to distance 0 against every centroid on both backends —
+// max(v, 0), not max(0, v), in the vector lanes — so it goes to centroid 0
+// whether it lands in a 4-row tile or the row tail, and whether the centroid
+// count fills whole vectors or leaves a column tail. A NaN centroid likewise
+// reads as distance 0 from every point.
+TEST_F(KernelBackendsTest, KMeansAssignBackendsAgreeOnNaN) {
+  Rng rng(63);
+  const float nan = std::nanf("");
+  for (int64_t m : {8LL, 13LL, 17LL, 64LL}) {
+    for (int64_t n : {int64_t{8}, int64_t{7}}) {
+      for (int64_t nan_row : {int64_t{2}, n - 1}) {
+        for (int64_t d : {7LL, 32LL}) {
+          std::vector<float> x = RandomVec(n * d, &rng);
+          x[nan_row * d + d / 2] = nan;
+          std::vector<float> c = RandomVec(m * d, &rng);
+          std::vector<int64_t> a1(n), a2(n);
+          std::vector<float> d1(n), d2(n);
+          scalar().kmeans_assign(x.data(), c.data(), n, m, d, a1.data(), d1.data());
+          simd().kmeans_assign(x.data(), c.data(), n, m, d, a2.data(), d2.data());
+          EXPECT_EQ(a1, a2) << "m=" << m << " n=" << n << " row=" << nan_row;
+          EXPECT_EQ(a1[nan_row], 0);
+          EXPECT_EQ(d1[nan_row], 0.0f);
+          EXPECT_EQ(d2[nan_row], 0.0f);
+          for (int64_t i = 0; i < n; ++i) {
+            ASSERT_GE(a2[i], 0);
+            ASSERT_LT(a2[i], m);
+          }
+
+          // NaN centroid in a vector lane (column 3) or the column tail.
+          const int64_t nan_col = m > 8 ? m - 1 : 3;
+          std::vector<float> cn = RandomVec(m * d, &rng);
+          cn[nan_col * d] = nan;
+          const std::vector<float> xf = RandomVec(n * d, &rng);
+          scalar().kmeans_assign(xf.data(), cn.data(), n, m, d, a1.data(), d1.data());
+          simd().kmeans_assign(xf.data(), cn.data(), n, m, d, a2.data(), d2.data());
+          EXPECT_EQ(a1, a2) << "m=" << m << " n=" << n << " col=" << nan_col;
+          for (int64_t i = 0; i < n; ++i) {
+            ASSERT_LE(a2[i], nan_col);
+            EXPECT_EQ(d1[i], 0.0f);
+            EXPECT_EQ(d2[i], 0.0f);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The SIMD NT GEMM packs 16-column panels of B^T: odd column and k tails,
+// row tails of 1-3, and any row split must match the full call bitwise.
+TEST_F(KernelBackendsTest, PackedGemmNTMatchesScalar) {
+  Rng rng(64);
+  for (int64_t m : {1LL, 3LL, 4LL, 5LL, 7LL, 64LL}) {
+    for (int64_t n : {1LL, 15LL, 16LL, 17LL, 33LL, 64LL}) {
+      for (int64_t k : {1LL, 7LL, 8LL, 9LL, 31LL, 33LL}) {
+        const std::vector<float> a = RandomVec(m * k, &rng, -1.5f, 1.5f);
+        const std::vector<float> b = RandomVec(n * k, &rng, -1.5f, 1.5f);
+        std::vector<float> c1(m * n), c2(m * n), c3(m * n);
+        scalar().gemm(a.data(), b.data(), c1.data(), m, n, k, false, true, 0, m);
+        simd().gemm(a.data(), b.data(), c2.data(), m, n, k, false, true, 0, m);
+        ExpectClose(c1, c2, 1e-4f, "packed gemm_nt");
+        for (int64_t r = 0; r < m; ++r) {
+          simd().gemm(a.data(), b.data(), c3.data(), m, n, k, false, true, r, r + 1);
+        }
+        ASSERT_EQ(0, std::memcmp(c2.data(), c3.data(), sizeof(float) * m * n))
+            << "row-at-a-time m=" << m << " n=" << n << " k=" << k;
+      }
+    }
   }
 }
 

@@ -1,10 +1,12 @@
 // Tests for the GPU-friendly k-means grouping engine (Sec. 4.4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "cluster/kmeans.h"
+#include "linalg/kernels/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace rita {
@@ -26,27 +28,50 @@ Tensor MakeBlobs(int64_t per_blob, Rng* rng) {
   return points;
 }
 
-TEST(PairwiseDistTest, MatmulMatchesNaive) {
+// The fused kmeans_assign entry (active backend) against the explicit
+// pairwise-difference reference: each point's reported distance is the naive
+// row minimum, and the chosen centroid attains it.
+TEST(PairwiseDistTest, FusedAssignMatchesNaive) {
   Rng rng(1);
   Tensor a = Tensor::RandNormal({17, 5}, &rng);
   Tensor b = Tensor::RandNormal({9, 5}, &rng);
-  Tensor fast = PairwiseSqDistMatmul(a, b);
+  std::vector<int64_t> assignment(17);
+  std::vector<float> best(17);
+  kernels::KMeansAssign(a.data(), b.data(), 17, 9, 5, assignment.data(), best.data());
   Tensor ref = PairwiseSqDistNaive(a, b);
-  EXPECT_TRUE(fast.AllClose(ref, 1e-3f, 1e-3f));
+  for (int64_t i = 0; i < 17; ++i) {
+    float row_min = ref.At({i, 0});
+    for (int64_t j = 1; j < 9; ++j) row_min = std::min(row_min, ref.At({i, j}));
+    ASSERT_GE(assignment[i], 0);
+    ASSERT_LT(assignment[i], 9);
+    EXPECT_NEAR(best[i], row_min, 1e-3f * std::max(1.0f, row_min));
+    EXPECT_NEAR(ref.At({i, assignment[i]}), row_min, 1e-3f * std::max(1.0f, row_min));
+  }
 }
 
-TEST(PairwiseDistTest, SelfDistanceZeroDiagonal) {
+TEST(PairwiseDistTest, SelfAssignmentHasZeroDistance) {
   Rng rng(2);
   Tensor a = Tensor::RandNormal({8, 4}, &rng);
-  Tensor d = PairwiseSqDistMatmul(a, a);
-  for (int64_t i = 0; i < 8; ++i) EXPECT_NEAR(d.At({i, i}), 0.0f, 1e-4f);
+  std::vector<int64_t> assignment(8);
+  std::vector<float> best(8);
+  kernels::KMeansAssign(a.data(), a.data(), 8, 8, 4, assignment.data(), best.data());
+  for (int64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(assignment[i], i);
+    EXPECT_NEAR(best[i], 0.0f, 1e-4f);
+  }
 }
 
 TEST(PairwiseDistTest, NonNegativeDespiteCancellation) {
-  // Nearly identical large-magnitude vectors provoke cancellation.
+  // Identical large-magnitude vectors provoke cancellation; the clamp keeps
+  // every distance >= 0 and the exact tie goes to the lowest index.
   Tensor a = Tensor::Full({4, 3}, 1000.0f);
-  Tensor d = PairwiseSqDistMatmul(a, a);
-  for (int64_t i = 0; i < d.numel(); ++i) EXPECT_GE(d.data()[i], 0.0f);
+  std::vector<int64_t> assignment(4);
+  std::vector<float> best(4);
+  kernels::KMeansAssign(a.data(), a.data(), 4, 4, 3, assignment.data(), best.data());
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_GE(best[i], 0.0f);
+    EXPECT_EQ(assignment[i], 0);
+  }
 }
 
 TEST(KMeansTest, RecoversWellSeparatedBlobs) {

@@ -656,13 +656,16 @@ std::vector<DumpedSpan> ParseTraceDump(const std::string& json) {
 
 // A sampled request's trace holds its serve spans and every kernel span of
 // its forward under its own trace_id. B=1 gives 2 (batch*head) slices on a
-// 4-wide pool, so group attention runs narrow: pool-parallel k-means and four
-// row tiles per 65-token slice. The slice and tile shards that land on pool
-// workers carry the id only because ExecutionContext::ParallelFor
-// re-installs the caller's trace in each shard.
+// 4-wide pool, so group attention runs narrow, and a 2049-token slice with
+// 32-wide heads and 16 groups clears the row-tile grain: four row tiles per
+// slice. The slice and tile shards that land on pool workers carry the id
+// only because ExecutionContext::ParallelFor re-installs the caller's trace
+// in each shard.
 TEST(TraceTest, SampledRequestRecordsKernelSpansUnderItsTraceId) {
   model::RitaConfig config = SmallConfig();
-  config.input_length = 320;  // 64 windows + [CLS] = 65 tokens
+  config.input_length = 10240;  // 2048 windows + [CLS] = 2049 tokens
+  config.encoder.dim = 64;      // 2 heads of 32
+  config.encoder.attention.group.num_groups = 16;
   Rng rng(71);
   model::RitaModel source(config, &rng);
   FrozenModel frozen(source);
@@ -676,7 +679,7 @@ TEST(TraceTest, SampledRequestRecordsKernelSpansUnderItsTraceId) {
   ClearTraceForTesting();
   SetTracingForTesting(1);
   InferenceRequest request;
-  request.series = MakeSeries(320, 2, 77);
+  request.series = MakeSeries(10240, 2, 77);
   request.task = ServeTask::kReconstruct;
   ASSERT_TRUE(engine.Run(std::move(request)).status.ok());
   SetTracingForTesting(0);

@@ -8,14 +8,18 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/batch_planner.h"
+#include "obs/trace.h"
 #include "linalg/kernels/kernels.h"
 #include "serve/accuracy_gate.h"
 #include "serve/frozen_model.h"
@@ -331,6 +335,69 @@ TEST(InferenceEngineTest, CoalescesQueuedRequestsIntoMicroBatches) {
   EXPECT_EQ(engine.stats().completed, static_cast<uint64_t>(kRequests + 8));
 }
 
+// Every rider of one micro-batch resolves at the batch's single resolve
+// stamp, so enqueued + queue_ms + compute_ms is the same instant for all of
+// them: rider i's queue_ms must not absorb the slicing and finiteness checks
+// of riders 0..i-1. Each rider is force-traced, and its `request` span
+// (enqueued -> resolved) supplies the enqueue stamp the response lacks.
+TEST(InferenceEngineTest, RidersOfOneMicroBatchShareOneResolveInstant) {
+  model::RitaConfig config = SmallConfig(attn::AttentionKind::kGroup);
+  config.input_length = 4000;  // large reconstruct rows make per-rider work visible
+  Rng rng(43);
+  model::RitaModel source(config, &rng);
+  FrozenModel frozen(source);
+
+  InferenceEngineOptions options;
+  options.num_workers = 1;
+  options.max_micro_batch = 8;
+  options.start_paused = true;
+  InferenceEngine engine(&frozen, options);
+
+  obs::ClearTraceForTesting();
+  constexpr int kRiders = 8;
+  std::vector<std::future<InferenceResponse>> futures;
+  for (int i = 0; i < kRiders; ++i) {
+    InferenceRequest request;
+    request.series = MakeSeries(4000, 2, 700 + i);
+    request.task = ServeTask::kReconstruct;
+    request.trace_id = 9000 + i;
+    futures.push_back(engine.Submit(std::move(request)));
+  }
+  engine.Resume();
+  std::vector<InferenceResponse> responses;
+  for (auto& future : futures) {
+    responses.push_back(future.get());
+    ASSERT_TRUE(responses.back().status.ok());
+    ASSERT_EQ(responses.back().micro_batch, kRiders);
+  }
+
+  // Trace dump lines: ..."name":"request",..."ts":T,"dur":D,...{"trace_id":N}}
+  std::ostringstream dump;
+  obs::DumpTraceTo(dump);
+  obs::ClearTraceForTesting();
+  std::map<uint64_t, std::pair<double, double>> request_spans;  // id -> (ts, dur) us
+  std::istringstream lines(dump.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"name\":\"request\"") == std::string::npos) continue;
+    const auto number = [&](const char* key) {
+      return std::strtod(line.c_str() + line.find(key) + std::strlen(key), nullptr);
+    };
+    request_spans[static_cast<uint64_t>(number("\"trace_id\":"))] = {
+        number("\"ts\":"), number("\"dur\":")};
+  }
+  ASSERT_EQ(request_spans.size(), static_cast<size_t>(kRiders));
+
+  const double resolved_us = request_spans[9000].first + request_spans[9000].second;
+  for (int i = 0; i < kRiders; ++i) {
+    const auto [ts_us, dur_us] = request_spans[9000 + i];
+    const InferenceResponse& response = responses[i];
+    // Dumped times carry 1 ns; allow 2 ns of rounding.
+    EXPECT_NEAR(ts_us + dur_us, resolved_us, 0.002) << "rider " << i;
+    EXPECT_NEAR(response.queue_ms + response.compute_ms, dur_us / 1000.0, 2e-6)
+        << "rider " << i;
+  }
+}
+
 // Relaxed counter reads, or a window whose two counters were read at
 // different instants, can show more cache hits than completions; the
 // averages must not wrap the unsigned difference.
@@ -511,10 +578,11 @@ std::vector<Tensor> AllTaskForwards(const FrozenModel& frozen, const Tensor& bat
 }
 
 // The serving forwards are bitwise identical at any pool width. Width 1
-// never takes group attention's narrow path (B*H below the pool width:
-// pool-parallel k-means plus row-tiled attention), so it is the reference.
-// B=1 (2 slices) runs narrow at widths 4 and 8; B=3 (6 slices) runs wide at
-// 2 and 4 and narrow at 8. 65 tokens allow up to four row tiles per slice.
+// never takes group attention's narrow path (B*H below the pool width), so
+// it is the reference. B=1 (2 slices) runs narrow at widths 4 and 8; B=3
+// (6 slices) runs wide at 2 and 4 and narrow at 8. 65-token slices stay
+// below the row-tile grain, so the slice loop alone spreads the work here;
+// group_attention_test and obs_test cover the tiled shapes.
 TEST(FrozenModelTest, ForwardsBitIdenticalAcrossPoolWidths) {
   const kernels::Backend restore = kernels::ActiveBackend();
   std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
