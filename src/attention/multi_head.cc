@@ -5,6 +5,7 @@
 #include "autograd/function.h"
 #include "obs/trace.h"
 #include "tensor/tensor_ops.h"
+#include "util/execution_context.h"
 
 namespace rita {
 namespace attn {
@@ -90,11 +91,37 @@ ag::Variable MultiHeadAttention::ProjectHeads(int which, const ag::Variable& x) 
   obs::Span span("qkv_projection_gemm", "kernel");
   RITA_CHECK_EQ(x.dim(), 3);
   RITA_CHECK_EQ(x.size(2), dim_);
-  const int64_t b = x.size(0), n = x.size(1);
-  nn::Linear* proj = which == 0 ? &wq_ : which == 1 ? &wk_ : &wv_;
   RITA_CHECK(which >= 0 && which <= 2) << "ProjectHeads: bad projection " << which;
-  // [B, n, d] -> [B*H, n, d_head]
-  return HeadCopy(proj->Forward(x), b, n, num_heads_, head_dim_, /*split=*/true);
+  const int64_t b = x.size(0), n = x.size(1);
+  nn::Linear* proj = projection(which);
+  if (ag::GradModeEnabled()) {
+    // [B, n, d] -> [B*H, n, d_head]; the split's backward is the merge copy.
+    return HeadCopy(proj->Forward(x), b, n, num_heads_, head_dim_, /*split=*/true);
+  }
+  // Grad-free: each row shard projects kTokenTile tokens at a time into a
+  // leased scratch tile and stores every head's d_head slice straight into
+  // [B*H, n, d_head], so no [B, n, d] projection is built or split.
+  constexpr int64_t kTokenTile = 96;
+  Tensor out({b * num_heads_, n, head_dim_});
+  const float* px = x.data().data();
+  float* po = out.data();
+  ScratchArena* arena = ExecutionContext::Default()->arena();
+  ops::ParallelRows(b * n, dim_ * dim_, [&](int64_t t0, int64_t t1) {
+    ScratchArena::Lease scratch = arena->Acquire();
+    float* tile = scratch.Floats(std::min(kTokenTile, t1 - t0) * dim_);
+    for (int64_t s0 = t0; s0 < t1; s0 += kTokenTile) {
+      const int64_t rows = std::min(kTokenTile, t1 - s0);
+      proj->ForwardRows(px + s0 * dim_, rows, tile, 0, rows);
+      for (int64_t r = 0; r < rows; ++r) {
+        const int64_t t = s0 + r, bi = t / n, i = t % n;
+        for (int64_t h = 0; h < num_heads_; ++h) {
+          const float* src = tile + r * dim_ + h * head_dim_;
+          std::copy(src, src + head_dim_, po + ((bi * num_heads_ + h) * n + i) * head_dim_);
+        }
+      }
+    }
+  });
+  return ag::Variable(std::move(out));
 }
 
 ag::Variable MultiHeadAttention::MechanismForward(const ag::Variable& q,

@@ -31,8 +31,10 @@ class MultiHeadAttention : public nn::Module {
   /// so the staged path is bit-identical by construction.
   ///
   /// Projects x through wq/wk/wv (`which` = 0/1/2) and splits heads:
-  /// [B, n, dim] -> [B*H, n, head_dim]. Records a `qkv_projection_gemm`
-  /// kernel span when the calling thread carries a trace.
+  /// [B, n, dim] -> [B*H, n, head_dim]. Grad mode splits the projection with
+  /// a recorded copy; a grad-free call writes head-major straight from the
+  /// GEMM tiles, bitwise the same. Records a `qkv_projection_gemm` kernel
+  /// span when the calling thread carries a trace.
   ag::Variable ProjectHeads(int which, const ag::Variable& x);
   /// Runs the attention mechanism over pre-projected heads, installing the
   /// head-count RNG period exactly as Forward does.

@@ -77,6 +77,11 @@ Variable DropoutWithMask(const Variable& a, Tensor mask);
 /// Fused layer norm over the last dim. gamma/beta shape = {last_dim}.
 Variable LayerNorm(const Variable& x, const Variable& gamma, const Variable& beta,
                    float eps = 1e-5f);
+/// LayerNorm(x + residual) for same-shape x and residual. Grad mode composes
+/// Add and LayerNorm; a grad-free forward adds the residual inside the row
+/// kernel, bitwise the same as the composition, with no sum tensor.
+Variable AddLayerNorm(const Variable& x, const Variable& residual, const Variable& gamma,
+                      const Variable& beta, float eps = 1e-5f);
 /// Fused batch norm over every dim except the last (feature) dim. In training
 /// mode updates running stats in place and normalises with batch stats.
 Variable BatchNorm(const Variable& x, const Variable& gamma, const Variable& beta,

@@ -12,7 +12,8 @@
 // primitive is deterministic (no internal threading, fixed reduction order),
 // so pool-width invariance and replay bit-identity hold per backend; across
 // backends fused/vectorized reductions reorder floats, which is why the CI
-// gates compare the SIMD backend under a relative tolerance instead.
+// gates compare the SIMD backend under a relative tolerance instead
+// (layernorm_rows excepted: it is bitwise equal across backends).
 #ifndef RITA_LINALG_KERNELS_KERNELS_H_
 #define RITA_LINALG_KERNELS_KERNELS_H_
 
@@ -53,6 +54,14 @@ struct KernelTable {
   /// are tolerance-gated like the fp32 GEMM.
   void (*gemm_bf16)(const float* a, const uint16_t* w, float* c, int64_t m,
                     int64_t n, int64_t k, int64_t r0, int64_t r1);
+  /// Rows [r0, r1) of the fp32 Linear C = A W + bias, then GELU when `gelu`:
+  /// A [m, k], W [k, n], `bias` [n] or null. Bitwise this backend's gemm
+  /// followed by add(row, bias) and gelu_array(row) per row, so callers
+  /// shard over disjoint row ranges freely; the SIMD backend applies the
+  /// epilogue to each 6-row block right after its GEMM, while it is in L1.
+  void (*linear_rows)(const float* a, const float* w, const float* bias, bool gelu,
+                      float* c, int64_t m, int64_t n, int64_t k, int64_t r0,
+                      int64_t r1);
   // Contiguous transcendental maps (y may alias x).
   void (*exp_array)(const float* x, float* y, int64_t n);
   void (*tanh_array)(const float* x, float* y, int64_t n);
@@ -79,6 +88,16 @@ struct KernelTable {
   /// disjoint point ranges freely.
   void (*kmeans_assign)(const float* points, const float* centroids, int64_t n,
                         int64_t m, int64_t d, int64_t* assignment, float* best_d2);
+  /// LayerNorm over `rows` rows of length d: v = x + residual (residual
+  /// nullable), then y = (v - mean) * inv_std * gamma + beta with
+  /// inv_std = 1 / sqrt(var + eps). Mean and variance are sequential
+  /// left-to-right float sums per row, and no step is fused, so both backends
+  /// give the same bits (the SIMD one runs 8 rows per vector, one row per
+  /// lane). `xhat` [rows, d] and `inv_std` [rows] are nullable outputs for a
+  /// backward. y may alias x.
+  void (*layernorm_rows)(const float* x, const float* residual, const float* gamma,
+                         const float* beta, float* y, float* xhat, float* inv_std,
+                         int64_t rows, int64_t d, float eps);
 };
 
 /// True when the CPU (and build) can run the SIMD backend.

@@ -7,7 +7,9 @@
 // reorder float additions, and exp/tanh/sigmoid/gelu use polynomial
 // approximations (Cephes-derived, a few ULP from libm). This backend is
 // therefore gated by relative-tolerance checks, not bit-identity; within the
-// backend every kernel is a pure deterministic function of its inputs.
+// backend every kernel is a pure deterministic function of its inputs. The
+// exception is layernorm_rows, which keeps the scalar loop's sequential sums
+// (one row per lane) and so equals the scalar backend bit for bit.
 #include "linalg/kernels/kernels.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -296,92 +298,166 @@ void LogSoftmaxBackwardRowsAvx2(const float* log_y, const float* g, float* dx,
 // GEMM
 // ---------------------------------------------------------------------------
 
-// 4x16 register-tiled micro-kernel for C[i0..i0+4) x C[:, j0..j0+16), shared
-// by the NN and TN cases (they differ only in how A is strided): 8 FMA
-// accumulators stay in registers across the whole k loop, B is streamed row
-// by row (so the B panel [k, 16] is the only cache-resident working set), and
-// 4 A values per k step amortize each B load 4x.
-template <int kRows>
+// B loads for the micro-kernels: fp32 as is; bf16 (u16) widened to fp32
+// in-register, which is exact, so only the FMA reduction order separates
+// this backend from the scalar bf16 kernel.
+inline __m256 LoadB8(const float* p) { return _mm256_loadu_ps(p); }
+inline __m256 LoadB8(const uint16_t* p) {
+  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
+}
+
+// kRows x 16 register tile of C = op(A) B (kRows <= 6), shared by the NN,
+// TN, packed-NT and bf16 cases (they differ only in how A is strided and B
+// is loaded): B is streamed row by row, so the B panel [k, 16] is the only
+// cache-resident working set, and each B load feeds kRows FMAs. Every C
+// element is one kk-ascending FMA chain whatever kRows is, so tile shapes
+// never change bits. The accumulators are named locals rather than an array
+// indexed in a loop: GCC keeps an array in registers only once -O3 fully
+// unrolls that loop, and at -O2 it stores all of them to the stack on every
+// k step. 6 rows use 12 accumulators + 2 B vectors + 1 broadcast = 15 ymm.
+template <int kRows, typename BT>
 inline void MicroKernelNx16(const float* a, int64_t a_row_stride,
-                            int64_t a_k_stride, const float* b, int64_t ldb,
-                            float* c, int64_t ldc, int64_t k) {
-  __m256 acc0[kRows], acc1[kRows];
-  for (int i = 0; i < kRows; ++i) {
-    acc0[i] = _mm256_setzero_ps();
-    acc1[i] = _mm256_setzero_ps();
-  }
+                            int64_t a_k_stride, const BT* b, int64_t ldb, float* c,
+                            int64_t ldc, int64_t k) {
+  static_assert(kRows >= 1 && kRows <= 6, "tile rows");
+  __m256 c00 = _mm256_setzero_ps(), c01 = c00, c10 = c00, c11 = c00, c20 = c00,
+         c21 = c00, c30 = c00, c31 = c00, c40 = c00, c41 = c00, c50 = c00, c51 = c00;
   for (int64_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * ldb;
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    for (int i = 0; i < kRows; ++i) {
-      const __m256 av = _mm256_set1_ps(a[i * a_row_stride + kk * a_k_stride]);
-      acc0[i] = _mm256_fmadd_ps(av, b0, acc0[i]);
-      acc1[i] = _mm256_fmadd_ps(av, b1, acc1[i]);
+    const BT* brow = b + kk * ldb;
+    const __m256 b0 = LoadB8(brow);
+    const __m256 b1 = LoadB8(brow + 8);
+    const float* ak = a + kk * a_k_stride;
+    __m256 av = _mm256_set1_ps(ak[0]);
+    c00 = _mm256_fmadd_ps(av, b0, c00);
+    c01 = _mm256_fmadd_ps(av, b1, c01);
+    if constexpr (kRows > 1) {
+      av = _mm256_set1_ps(ak[a_row_stride]);
+      c10 = _mm256_fmadd_ps(av, b0, c10);
+      c11 = _mm256_fmadd_ps(av, b1, c11);
+    }
+    if constexpr (kRows > 2) {
+      av = _mm256_set1_ps(ak[2 * a_row_stride]);
+      c20 = _mm256_fmadd_ps(av, b0, c20);
+      c21 = _mm256_fmadd_ps(av, b1, c21);
+    }
+    if constexpr (kRows > 3) {
+      av = _mm256_set1_ps(ak[3 * a_row_stride]);
+      c30 = _mm256_fmadd_ps(av, b0, c30);
+      c31 = _mm256_fmadd_ps(av, b1, c31);
+    }
+    if constexpr (kRows > 4) {
+      av = _mm256_set1_ps(ak[4 * a_row_stride]);
+      c40 = _mm256_fmadd_ps(av, b0, c40);
+      c41 = _mm256_fmadd_ps(av, b1, c41);
+    }
+    if constexpr (kRows > 5) {
+      av = _mm256_set1_ps(ak[5 * a_row_stride]);
+      c50 = _mm256_fmadd_ps(av, b0, c50);
+      c51 = _mm256_fmadd_ps(av, b1, c51);
     }
   }
-  for (int i = 0; i < kRows; ++i) {
-    _mm256_storeu_ps(c + i * ldc, acc0[i]);
-    _mm256_storeu_ps(c + i * ldc + 8, acc1[i]);
+  _mm256_storeu_ps(c, c00);
+  _mm256_storeu_ps(c + 8, c01);
+  if constexpr (kRows > 1) {
+    _mm256_storeu_ps(c + ldc, c10);
+    _mm256_storeu_ps(c + ldc + 8, c11);
+  }
+  if constexpr (kRows > 2) {
+    _mm256_storeu_ps(c + 2 * ldc, c20);
+    _mm256_storeu_ps(c + 2 * ldc + 8, c21);
+  }
+  if constexpr (kRows > 3) {
+    _mm256_storeu_ps(c + 3 * ldc, c30);
+    _mm256_storeu_ps(c + 3 * ldc + 8, c31);
+  }
+  if constexpr (kRows > 4) {
+    _mm256_storeu_ps(c + 4 * ldc, c40);
+    _mm256_storeu_ps(c + 4 * ldc + 8, c41);
+  }
+  if constexpr (kRows > 5) {
+    _mm256_storeu_ps(c + 5 * ldc, c50);
+    _mm256_storeu_ps(c + 5 * ldc + 8, c51);
   }
 }
 
+// The 8-column sibling of MicroKernelNx16 (kRows <= 6), for n's 8-wide tail.
 template <int kRows>
 inline void MicroKernelNx8(const float* a, int64_t a_row_stride, int64_t a_k_stride,
                            const float* b, int64_t ldb, float* c, int64_t ldc,
                            int64_t k) {
-  __m256 acc[kRows];
-  for (int i = 0; i < kRows; ++i) acc[i] = _mm256_setzero_ps();
+  static_assert(kRows >= 1 && kRows <= 6, "tile rows");
+  __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0, c4 = c0, c5 = c0;
   for (int64_t kk = 0; kk < k; ++kk) {
     const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
-    for (int i = 0; i < kRows; ++i) {
-      const __m256 av = _mm256_set1_ps(a[i * a_row_stride + kk * a_k_stride]);
-      acc[i] = _mm256_fmadd_ps(av, b0, acc[i]);
+    const float* ak = a + kk * a_k_stride;
+    c0 = _mm256_fmadd_ps(_mm256_set1_ps(ak[0]), b0, c0);
+    if constexpr (kRows > 1) c1 = _mm256_fmadd_ps(_mm256_set1_ps(ak[a_row_stride]), b0, c1);
+    if constexpr (kRows > 2) {
+      c2 = _mm256_fmadd_ps(_mm256_set1_ps(ak[2 * a_row_stride]), b0, c2);
+    }
+    if constexpr (kRows > 3) {
+      c3 = _mm256_fmadd_ps(_mm256_set1_ps(ak[3 * a_row_stride]), b0, c3);
+    }
+    if constexpr (kRows > 4) {
+      c4 = _mm256_fmadd_ps(_mm256_set1_ps(ak[4 * a_row_stride]), b0, c4);
+    }
+    if constexpr (kRows > 5) {
+      c5 = _mm256_fmadd_ps(_mm256_set1_ps(ak[5 * a_row_stride]), b0, c5);
     }
   }
-  for (int i = 0; i < kRows; ++i) _mm256_storeu_ps(c + i * ldc, acc[i]);
+  _mm256_storeu_ps(c, c0);
+  if constexpr (kRows > 1) _mm256_storeu_ps(c + ldc, c1);
+  if constexpr (kRows > 2) _mm256_storeu_ps(c + 2 * ldc, c2);
+  if constexpr (kRows > 3) _mm256_storeu_ps(c + 3 * ldc, c3);
+  if constexpr (kRows > 4) _mm256_storeu_ps(c + 4 * ldc, c4);
+  if constexpr (kRows > 5) _mm256_storeu_ps(c + 5 * ldc, c5);
 }
 
-// C rows [r0, r1) for the B-not-transposed cases (NN and TN). a_row_stride /
-// a_k_stride express op(A): NN is (k, 1), TN is (1, m).
-void GemmBNotTransposed(const float* a, int64_t a_row_stride, int64_t a_k_stride,
-                        const float* b, float* c, int64_t n, int64_t k,
-                        int64_t r0, int64_t r1) {
-  int64_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    const float* arow = a + i * a_row_stride;
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      MicroKernelNx16<4>(arow, a_row_stride, a_k_stride, b + j, n, crow + j, n, k);
-    }
-    for (; j + 8 <= n; j += 8) {
-      MicroKernelNx8<4>(arow, a_row_stride, a_k_stride, b + j, n, crow + j, n, k);
-    }
-    for (; j < n; ++j) {
-      for (int ii = 0; ii < 4; ++ii) {
-        const float* ai = arow + ii * a_row_stride;
-        float s = 0.0f;
-        for (int64_t kk = 0; kk < k; ++kk) s = std::fmaf(ai[kk * a_k_stride], b[kk * n + j], s);
-        crow[ii * n + j] = s;
-      }
+// kRows rows of C for the B-not-transposed cases: 16-wide tiles, then an
+// 8-wide one, then per-element kk-ascending fmaf chains for n % 8 (the lane
+// arithmetic of the tiles).
+template <int kRows>
+inline void RowBlockBNotTransposed(const float* arow, int64_t a_row_stride,
+                                   int64_t a_k_stride, const float* b, float* crow,
+                                   int64_t n, int64_t k) {
+  int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    MicroKernelNx16<kRows>(arow, a_row_stride, a_k_stride, b + j, n, crow + j, n, k);
+  }
+  for (; j + 8 <= n; j += 8) {
+    MicroKernelNx8<kRows>(arow, a_row_stride, a_k_stride, b + j, n, crow + j, n, k);
+  }
+  for (; j < n; ++j) {
+    for (int ii = 0; ii < kRows; ++ii) {
+      const float* ai = arow + ii * a_row_stride;
+      float s = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) s = std::fmaf(ai[kk * a_k_stride], b[kk * n + j], s);
+      crow[ii * n + j] = s;
     }
   }
+}
+
+// C rows [r0, r1) for the B-not-transposed cases (NN and TN) in 6-row
+// blocks; a remainder of 4 or more rows takes one 4-row block, the rest go
+// one row at a time. a_row_stride / a_k_stride express op(A): NN is (k, 1),
+// TN is (1, m).
+void GemmBNotTransposed(const float* a, int64_t a_row_stride, int64_t a_k_stride,
+                        const float* b, float* c, int64_t n, int64_t k, int64_t r0,
+                        int64_t r1) {
+  int64_t i = r0;
+  for (; i + 6 <= r1; i += 6) {
+    RowBlockBNotTransposed<6>(a + i * a_row_stride, a_row_stride, a_k_stride, b,
+                              c + i * n, n, k);
+  }
+  if (i + 4 <= r1) {
+    RowBlockBNotTransposed<4>(a + i * a_row_stride, a_row_stride, a_k_stride, b,
+                              c + i * n, n, k);
+    i += 4;
+  }
   for (; i < r1; ++i) {
-    const float* arow = a + i * a_row_stride;
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      MicroKernelNx16<1>(arow, a_row_stride, a_k_stride, b + j, n, crow + j, n, k);
-    }
-    for (; j + 8 <= n; j += 8) {
-      MicroKernelNx8<1>(arow, a_row_stride, a_k_stride, b + j, n, crow + j, n, k);
-    }
-    for (; j < n; ++j) {
-      float s = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) s = std::fmaf(arow[kk * a_k_stride], b[kk * n + j], s);
-      crow[j] = s;
-    }
+    RowBlockBNotTransposed<1>(a + i * a_row_stride, a_row_stride, a_k_stride, b,
+                              c + i * n, n, k);
   }
 }
 
@@ -474,39 +550,7 @@ void GemmAvx2(const float* a, const float* b, float* c, int64_t m, int64_t n,
 // bf16 GEMM
 // ---------------------------------------------------------------------------
 
-// Widens 8 bf16 values (u16) to fp32: exact, so only the FMA reduction order
-// separates this backend from the scalar bf16 kernel.
-inline __m256 Bf16Load8(const uint16_t* p) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-}
-
-// bf16 micro-kernel: the Nx16 fp32 shape with in-register bf16 widening.
-template <int kRows>
-inline void MicroKernelBf16Nx16(const float* a, int64_t a_row_stride,
-                                const uint16_t* b, int64_t ldb, float* c,
-                                int64_t ldc, int64_t k) {
-  __m256 acc0[kRows], acc1[kRows];
-  for (int i = 0; i < kRows; ++i) {
-    acc0[i] = _mm256_setzero_ps();
-    acc1[i] = _mm256_setzero_ps();
-  }
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const uint16_t* brow = b + kk * ldb;
-    const __m256 b0 = Bf16Load8(brow);
-    const __m256 b1 = Bf16Load8(brow + 8);
-    for (int i = 0; i < kRows; ++i) {
-      const __m256 av = _mm256_set1_ps(a[i * a_row_stride + kk]);
-      acc0[i] = _mm256_fmadd_ps(av, b0, acc0[i]);
-      acc1[i] = _mm256_fmadd_ps(av, b1, acc1[i]);
-    }
-  }
-  for (int i = 0; i < kRows; ++i) {
-    _mm256_storeu_ps(c + i * ldc, acc0[i]);
-    _mm256_storeu_ps(c + i * ldc + 8, acc1[i]);
-  }
-}
-
+// The bf16 weight runs the fp32 micro-kernel with in-register widening.
 void GemmBf16Avx2(const float* a, const uint16_t* w, float* c, int64_t m,
                   int64_t n, int64_t k, int64_t r0, int64_t r1) {
   (void)m;
@@ -516,7 +560,7 @@ void GemmBf16Avx2(const float* a, const uint16_t* w, float* c, int64_t m,
     float* crow = c + i * n;
     int64_t j = 0;
     for (; j + 16 <= n; j += 16) {
-      MicroKernelBf16Nx16<4>(arow, k, w + j, n, crow + j, n, k);
+      MicroKernelNx16<4>(arow, k, 1, w + j, n, crow + j, n, k);
     }
     for (; j < n; ++j) {
       for (int ii = 0; ii < 4; ++ii) {
@@ -534,7 +578,7 @@ void GemmBf16Avx2(const float* a, const uint16_t* w, float* c, int64_t m,
     float* crow = c + i * n;
     int64_t j = 0;
     for (; j + 16 <= n; j += 16) {
-      MicroKernelBf16Nx16<1>(arow, k, w + j, n, crow + j, n, k);
+      MicroKernelNx16<1>(arow, k, 1, w + j, n, crow + j, n, k);
     }
     for (; j < n; ++j) {
       float s = 0.0f;
@@ -604,6 +648,24 @@ void AccumulateF64Avx2(double* dst, const float* src, int64_t n) {
   for (; i < n; ++i) dst[i] += static_cast<double>(src[i]);
 }
 
+// The Linear epilogue runs per 6-row block (one GEMM tile's height) right
+// after that block's GEMM, while its rows are still in L1. It is the
+// backend's own add and gelu_array, so the result is the gemm -> add ->
+// gelu composition bit for bit, without a second pass over C.
+void LinearRowsAvx2(const float* a, const float* w, const float* bias, bool gelu,
+                    float* c, int64_t m, int64_t n, int64_t k, int64_t r0, int64_t r1) {
+  (void)m;
+  for (int64_t i = r0; i < r1; i += 6) {
+    const int64_t i1 = std::min(r1, i + 6);
+    GemmBNotTransposed(a, /*a_row_stride=*/k, /*a_k_stride=*/1, w, c, n, k, i, i1);
+    for (int64_t r = i; r < i1; ++r) {
+      float* row = c + r * n;
+      if (bias != nullptr) AddAvx2(row, bias, n);
+      if (gelu) GeluArrayAvx2(row, row, n);
+    }
+  }
+}
+
 void RowSqNormsAvx2(const float* a, float* out, int64_t rows, int64_t d) {
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = a + r * d;
@@ -639,34 +701,72 @@ void SqDistToPointAvx2(const float* points, const float* center, float* d2,
   }
 }
 
-// Running argmin of kRows points against every centroid panel. Per panel
-// the GEMM's own micro-kernel yields 2 x 8 dot products per row; they become
-// clamped distances max(a2 + c2 - 2 dot, 0) — max_ps returns its second
-// operand on NaN, so NaN -> 0 as in the scalar backend — and lane l of the
-// per-row best vector keeps the first strict minimum of columns l, l+8,
-// l+16, ... in ascending order. The final lane reduction breaks value ties
-// by the lower column, so the winner is the lowest-index minimum overall.
+// One point's running argmin step against a 16-centroid panel: clamped
+// distances max(a2 + c2 - 2 dot, 0) — max_ps returns its second operand on
+// NaN, so NaN -> 0 as in the scalar backend — with padding columns forced to
+// +inf, then lane l keeps the first strict minimum of columns l, l+8, ...
+inline void AssignStep(__m256 va2, const float* dots, __m256 c2_lo, __m256 c2_hi,
+                       __m256 idx_lo, __m256 idx_hi, bool padded, __m256 valid_lo,
+                       __m256 valid_hi, __m256& best_val, __m256& best_idx) {
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 dot_lo = _mm256_load_ps(dots);
+  const __m256 dot_hi = _mm256_load_ps(dots + 8);
+  __m256 d_lo =
+      _mm256_max_ps(_mm256_fnmadd_ps(two, dot_lo, _mm256_add_ps(va2, c2_lo)), zero);
+  __m256 d_hi =
+      _mm256_max_ps(_mm256_fnmadd_ps(two, dot_hi, _mm256_add_ps(va2, c2_hi)), zero);
+  if (padded) {
+    d_lo = _mm256_blendv_ps(inf, d_lo, valid_lo);
+    d_hi = _mm256_blendv_ps(inf, d_hi, valid_hi);
+  }
+  __m256 lt = _mm256_cmp_ps(d_lo, best_val, _CMP_LT_OQ);
+  best_val = _mm256_blendv_ps(best_val, d_lo, lt);
+  best_idx = _mm256_blendv_ps(best_idx, idx_lo, lt);
+  lt = _mm256_cmp_ps(d_hi, best_val, _CMP_LT_OQ);
+  best_val = _mm256_blendv_ps(best_val, d_hi, lt);
+  best_idx = _mm256_blendv_ps(best_idx, idx_hi, lt);
+}
+
+// Reduces a point's 8 lane minima; value ties go to the lower column, so
+// the winner is the lowest-index minimum overall.
+inline void AssignFinish(__m256 best_val, __m256 best_idx, int64_t* assignment,
+                         float* best_d2) {
+  alignas(32) float vals[8], idxs[8];
+  _mm256_store_ps(vals, best_val);
+  _mm256_store_ps(idxs, best_idx);
+  int best = 0;
+  for (int l = 1; l < 8; ++l) {
+    if (vals[l] < vals[best] || (vals[l] == vals[best] && idxs[l] < idxs[best])) {
+      best = l;
+    }
+  }
+  *assignment = static_cast<int64_t>(idxs[best]);
+  *best_d2 = vals[best];
+}
+
+// Running argmin of kRows (1 or 4) points against every centroid panel: per
+// panel the GEMM's own micro-kernel yields 2 x 8 dot products per row, and
+// AssignStep folds them into each row's lane minima. The per-row state is
+// named locals, like the micro-kernel's accumulators, so it stays in
+// registers at -O2 too.
 template <int kRows>
 inline void AssignRows(const float* x, int64_t d, const float* packed,
                        const float* c2, int64_t m, int64_t* assignment,
                        float* best_d2) {
+  static_assert(kRows == 1 || kRows == 4, "assign rows");
   float a2[kRows];
   RowSqNormsAvx2(x, a2, kRows, d);
-  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 two = _mm256_set1_ps(2.0f);
   const __m256 iota = _mm256_setr_ps(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256 vm = _mm256_set1_ps(static_cast<float>(m));
-  __m256 best_val[kRows], best_idx[kRows];
-  for (int i = 0; i < kRows; ++i) {
-    best_val[i] = inf;
-    best_idx[i] = iota;
-  }
+  __m256 v0 = _mm256_set1_ps(std::numeric_limits<float>::infinity()), v1 = v0, v2 = v0,
+         v3 = v0;
+  __m256 i0 = iota, i1 = iota, i2 = iota, i3 = iota;
   const int64_t panels = (m + 15) / 16;
   for (int64_t p = 0; p < panels; ++p) {
-    const float* panel = packed + p * d * 16;
     alignas(32) float dots[kRows * 16];
-    MicroKernelNx16<kRows>(x, d, 1, panel, 16, dots, 16, d);
+    MicroKernelNx16<kRows>(x, d, 1, packed + p * d * 16, 16, dots, 16, d);
     const __m256 c2_lo = _mm256_loadu_ps(c2 + p * 16);
     const __m256 c2_hi = _mm256_loadu_ps(c2 + p * 16 + 8);
     const __m256 idx_lo = _mm256_add_ps(_mm256_set1_ps(static_cast<float>(p * 16)), iota);
@@ -675,38 +775,22 @@ inline void AssignRows(const float* x, int64_t d, const float* packed,
     const bool padded = (p + 1) * 16 > m;
     const __m256 valid_lo = _mm256_cmp_ps(idx_lo, vm, _CMP_LT_OQ);
     const __m256 valid_hi = _mm256_cmp_ps(idx_hi, vm, _CMP_LT_OQ);
-    for (int i = 0; i < kRows; ++i) {
-      const __m256 va2 = _mm256_set1_ps(a2[i]);
-      const __m256 dot_lo = _mm256_load_ps(dots + i * 16);
-      const __m256 dot_hi = _mm256_load_ps(dots + i * 16 + 8);
-      __m256 d_lo =
-          _mm256_max_ps(_mm256_fnmadd_ps(two, dot_lo, _mm256_add_ps(va2, c2_lo)), zero);
-      __m256 d_hi =
-          _mm256_max_ps(_mm256_fnmadd_ps(two, dot_hi, _mm256_add_ps(va2, c2_hi)), zero);
-      if (padded) {
-        d_lo = _mm256_blendv_ps(inf, d_lo, valid_lo);
-        d_hi = _mm256_blendv_ps(inf, d_hi, valid_hi);
-      }
-      __m256 lt = _mm256_cmp_ps(d_lo, best_val[i], _CMP_LT_OQ);
-      best_val[i] = _mm256_blendv_ps(best_val[i], d_lo, lt);
-      best_idx[i] = _mm256_blendv_ps(best_idx[i], idx_lo, lt);
-      lt = _mm256_cmp_ps(d_hi, best_val[i], _CMP_LT_OQ);
-      best_val[i] = _mm256_blendv_ps(best_val[i], d_hi, lt);
-      best_idx[i] = _mm256_blendv_ps(best_idx[i], idx_hi, lt);
+    AssignStep(_mm256_set1_ps(a2[0]), dots, c2_lo, c2_hi, idx_lo, idx_hi, padded, valid_lo,
+               valid_hi, v0, i0);
+    if constexpr (kRows == 4) {
+      AssignStep(_mm256_set1_ps(a2[1]), dots + 16, c2_lo, c2_hi, idx_lo, idx_hi, padded,
+                 valid_lo, valid_hi, v1, i1);
+      AssignStep(_mm256_set1_ps(a2[2]), dots + 32, c2_lo, c2_hi, idx_lo, idx_hi, padded,
+                 valid_lo, valid_hi, v2, i2);
+      AssignStep(_mm256_set1_ps(a2[3]), dots + 48, c2_lo, c2_hi, idx_lo, idx_hi, padded,
+                 valid_lo, valid_hi, v3, i3);
     }
   }
-  for (int i = 0; i < kRows; ++i) {
-    alignas(32) float vals[8], idxs[8];
-    _mm256_store_ps(vals, best_val[i]);
-    _mm256_store_ps(idxs, best_idx[i]);
-    int best = 0;
-    for (int l = 1; l < 8; ++l) {
-      if (vals[l] < vals[best] || (vals[l] == vals[best] && idxs[l] < idxs[best])) {
-        best = l;
-      }
-    }
-    assignment[i] = static_cast<int64_t>(idxs[best]);
-    best_d2[i] = vals[best];
+  AssignFinish(v0, i0, assignment, best_d2);
+  if constexpr (kRows == 4) {
+    AssignFinish(v1, i1, assignment + 1, best_d2 + 1);
+    AssignFinish(v2, i2, assignment + 2, best_d2 + 2);
+    AssignFinish(v3, i3, assignment + 3, best_d2 + 3);
   }
 }
 
@@ -730,6 +814,131 @@ void KMeansAssignAvx2(const float* points, const float* centroids, int64_t n,
   }
 }
 
+// ---------------------------------------------------------------------------
+// LayerNorm
+// ---------------------------------------------------------------------------
+
+// This section must equal LayerNormRowsScalar bit for bit, and that TU has no
+// FMA, so GCC may not contract a mul feeding an add here (its gnu++ default
+// is -ffp-contract=fast).
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+// In-register 8x8 transpose: on return r<j> holds column j of the 8 input
+// rows, lane i from row i.
+inline void Transpose8x8(__m256& r0, __m256& r1, __m256& r2, __m256& r3, __m256& r4,
+                         __m256& r5, __m256& r6, __m256& r7) {
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1), t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3), t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 t4 = _mm256_unpacklo_ps(r4, r5), t5 = _mm256_unpackhi_ps(r4, r5);
+  const __m256 t6 = _mm256_unpacklo_ps(r6, r7), t7 = _mm256_unpackhi_ps(r6, r7);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44), u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44), u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44), u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44), u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  r0 = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r1 = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r2 = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r3 = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r4 = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r5 = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r6 = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r7 = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+// Calls fn(column) for columns 0..d-1 of the 8 rows at `src` (row stride d),
+// in order; lane i of each column vector is row i's element.
+template <typename Fn>
+inline void ForEachColumn8(const float* src, int64_t d, Fn&& fn) {
+  int64_t j = 0;
+  for (; j + 8 <= d; j += 8) {
+    __m256 c0 = _mm256_loadu_ps(src + j), c1 = _mm256_loadu_ps(src + d + j),
+           c2 = _mm256_loadu_ps(src + 2 * d + j), c3 = _mm256_loadu_ps(src + 3 * d + j),
+           c4 = _mm256_loadu_ps(src + 4 * d + j), c5 = _mm256_loadu_ps(src + 5 * d + j),
+           c6 = _mm256_loadu_ps(src + 6 * d + j), c7 = _mm256_loadu_ps(src + 7 * d + j);
+    Transpose8x8(c0, c1, c2, c3, c4, c5, c6, c7);
+    fn(c0);
+    fn(c1);
+    fn(c2);
+    fn(c3);
+    fn(c4);
+    fn(c5);
+    fn(c6);
+    fn(c7);
+  }
+  for (; j < d; ++j) {
+    fn(_mm256_setr_ps(src[j], src[d + j], src[2 * d + j], src[3 * d + j], src[4 * d + j],
+                      src[5 * d + j], src[6 * d + j], src[7 * d + j]));
+  }
+}
+
+// 8 rows per step, one row per lane: each lane sums its own row's columns
+// in order, exactly the scalar loop's sequential sums, so the statistics
+// need no horizontal reduction. The normalise pass then runs row by row
+// across columns. A remainder of < 8 rows runs the scalar kernel.
+void LayerNormRowsAvx2(const float* x, const float* residual, const float* gamma,
+                       const float* beta, float* y, float* xhat, float* inv_std,
+                       int64_t rows, int64_t d, float eps) {
+  const __m256 vd = _mm256_set1_ps(static_cast<float>(d));
+  int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    const float* src = x + r * d;
+    float* yb = y + r * d;
+    if (residual != nullptr) {
+      const float* rb = residual + r * d;
+      int64_t i = 0;
+      for (; i + 8 <= 8 * d; i += 8) {
+        _mm256_storeu_ps(yb + i, _mm256_add_ps(_mm256_loadu_ps(src + i),
+                                               _mm256_loadu_ps(rb + i)));
+      }
+      for (; i < 8 * d; ++i) yb[i] = src[i] + rb[i];
+      src = yb;
+    }
+    __m256 mu = _mm256_setzero_ps();
+    ForEachColumn8(src, d, [&](__m256 col) { mu = _mm256_add_ps(mu, col); });
+    mu = _mm256_div_ps(mu, vd);
+    __m256 var = _mm256_setzero_ps();
+    ForEachColumn8(src, d, [&](__m256 col) {
+      const __m256 c = _mm256_sub_ps(col, mu);
+      var = _mm256_add_ps(var, _mm256_mul_ps(c, c));
+    });
+    var = _mm256_div_ps(var, vd);
+    const __m256 is = _mm256_div_ps(
+        _mm256_set1_ps(1.0f), _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(eps))));
+    alignas(32) float mus[8], iss[8];
+    _mm256_store_ps(mus, mu);
+    _mm256_store_ps(iss, is);
+    if (inv_std != nullptr) _mm256_storeu_ps(inv_std + r, is);
+    for (int l = 0; l < 8; ++l) {
+      const float* row = src + l * d;
+      float* yr = yb + l * d;
+      float* xhr = xhat != nullptr ? xhat + (r + l) * d : nullptr;
+      const __m256 vmu = _mm256_set1_ps(mus[l]);
+      const __m256 vis = _mm256_set1_ps(iss[l]);
+      int64_t i = 0;
+      for (; i + 8 <= d; i += 8) {
+        const __m256 xh = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(row + i), vmu), vis);
+        if (xhr != nullptr) _mm256_storeu_ps(xhr + i, xh);
+        _mm256_storeu_ps(yr + i, _mm256_add_ps(_mm256_mul_ps(xh, _mm256_loadu_ps(gamma + i)),
+                                               _mm256_loadu_ps(beta + i)));
+      }
+      for (; i < d; ++i) {
+        const float xh = (row[i] - mus[l]) * iss[l];
+        if (xhr != nullptr) xhr[i] = xh;
+        yr[i] = xh * gamma[i] + beta[i];
+      }
+    }
+  }
+  if (r < rows) {
+    internal::ScalarTable()->layernorm_rows(
+        x + r * d, residual != nullptr ? residual + r * d : nullptr, gamma, beta, y + r * d,
+        xhat != nullptr ? xhat + r * d : nullptr, inv_std != nullptr ? inv_std + r : nullptr,
+        rows - r, d, eps);
+  }
+}
+
+#pragma GCC pop_options
+
 }  // namespace
 
 namespace internal {
@@ -737,11 +946,11 @@ namespace internal {
 const KernelTable* SimdTable() {
   static const KernelTable table = {
       SoftmaxRowsAvx2,   SoftmaxBackwardRowsAvx2, LogSoftmaxBackwardRowsAvx2,
-      GemmAvx2,          GemmBf16Avx2,
+      GemmAvx2,          GemmBf16Avx2,            LinearRowsAvx2,
       ExpArrayAvx2,      TanhArrayAvx2,           SigmoidArrayAvx2,
       GeluArrayAvx2,     AxpyAvx2,                ScaleAvx2,
       AddAvx2,           AccumulateF64Avx2,       RowSqNormsAvx2,
-      SqDistToPointAvx2, KMeansAssignAvx2,
+      SqDistToPointAvx2, KMeansAssignAvx2,        LayerNormRowsAvx2,
   };
   return &table;
 }

@@ -218,6 +218,52 @@ void SqDistToPointScalar(const float* points, const float* center, float* d2,
   }
 }
 
+// The fp32 Linear's row loop as it ran before this entry existed: the GEMM
+// row range, then bias add and GELU row by row.
+void LinearRowsScalar(const float* a, const float* w, const float* bias, bool gelu,
+                      float* c, int64_t m, int64_t n, int64_t k, int64_t r0,
+                      int64_t r1) {
+  GemmScalar(a, w, c, m, n, k, /*trans_a=*/false, /*trans_b=*/false, r0, r1);
+  for (int64_t r = r0; r < r1; ++r) {
+    float* row = c + r * n;
+    if (bias != nullptr) AddScalar(row, bias, n);
+    if (gelu) GeluArrayScalar(row, row, n);
+  }
+}
+
+// ag::LayerNorm's historical row loop, verbatim; a residual is first added
+// into y (ops::Add's x + r) and normalised in place.
+void LayerNormRowsScalar(const float* x, const float* residual, const float* gamma,
+                         const float* beta, float* y, float* xhat, float* inv_std,
+                         int64_t rows, int64_t d, float eps) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = x + r * d;
+    float* yr = y + r * d;
+    if (residual != nullptr) {
+      const float* rr = residual + r * d;
+      for (int64_t i = 0; i < d; ++i) yr[i] = row[i] + rr[i];
+      row = yr;
+    }
+    float mu = 0.0f;
+    for (int64_t i = 0; i < d; ++i) mu += row[i];
+    mu /= static_cast<float>(d);
+    float var = 0.0f;
+    for (int64_t i = 0; i < d; ++i) {
+      const float c = row[i] - mu;
+      var += c * c;
+    }
+    var /= static_cast<float>(d);
+    const float is = 1.0f / std::sqrt(var + eps);
+    float* xhr = xhat != nullptr ? xhat + r * d : nullptr;
+    if (inv_std != nullptr) inv_std[r] = is;
+    for (int64_t i = 0; i < d; ++i) {
+      const float xh = (row[i] - mu) * is;
+      if (xhr != nullptr) xhr[i] = xh;
+      yr[i] = xh * gamma[i] + beta[i];
+    }
+  }
+}
+
 // Per point: one NT GEMM row of dot products (GemmScalar's unrolled dot),
 // the rank-1 correction a2 + c2[j] - 2 dot clamped at 0 (std::max returns
 // its first operand for NaN, so NaN -> 0), then a strict-< argmin. The
@@ -256,11 +302,11 @@ namespace internal {
 const KernelTable* ScalarTable() {
   static const KernelTable table = {
       SoftmaxRowsScalar,     SoftmaxBackwardRowsScalar, LogSoftmaxBackwardRowsScalar,
-      GemmScalar,            GemmBf16Scalar,
+      GemmScalar,            GemmBf16Scalar,            LinearRowsScalar,
       ExpArrayScalar,        TanhArrayScalar,           SigmoidArrayScalar,
       GeluArrayScalar,       AxpyScalar,                ScaleScalar,
       AddScalar,             AccumulateF64Scalar,       RowSqNormsScalar,
-      SqDistToPointScalar,   KMeansAssignScalar,
+      SqDistToPointScalar,   KMeansAssignScalar,        LayerNormRowsScalar,
   };
   return &table;
 }

@@ -28,20 +28,23 @@ TransformerEncoderLayer::TransformerEncoderLayer(const EncoderConfig& config, Rn
   }
 }
 
-ag::Variable TransformerEncoderLayer::Normalize(int which, const ag::Variable& x) {
+ag::Variable TransformerEncoderLayer::AddNormalize(int which, const ag::Variable& x,
+                                                   const ag::Variable& branch) {
+  const ag::Variable dropped = drop_.Forward(branch);
   if (norm_kind_ == NormKind::kLayerNorm) {
-    return which == 1 ? ln1_.Forward(x) : ln2_.Forward(x);
+    // A grad-free forward adds the residual inside the LayerNorm row kernel.
+    return (which == 1 ? ln1_ : ln2_).Forward(x, dropped);
   }
-  return which == 1 ? bn1_.Forward(x) : bn2_.Forward(x);
+  return (which == 1 ? bn1_ : bn2_).Forward(ag::Add(x, dropped));
 }
 
 ag::Variable TransformerEncoderLayer::AttentionResidual(const ag::Variable& x,
                                                         const ag::Variable& attended) {
-  return Normalize(1, ag::Add(x, drop_.Forward(attended)));
+  return AddNormalize(1, x, attended);
 }
 
 ag::Variable TransformerEncoderLayer::FfnResidual(const ag::Variable& h) {
-  return Normalize(2, ag::Add(h, drop_.Forward(ffn_.Forward(h))));
+  return AddNormalize(2, h, ffn_.Forward(h));
 }
 
 ag::Variable TransformerEncoderLayer::Forward(const ag::Variable& x,

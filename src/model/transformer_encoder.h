@@ -55,7 +55,8 @@ class TransformerEncoderLayer : public nn::Module {
   }
 
  private:
-  ag::Variable Normalize(int which, const ag::Variable& x);
+  /// norm(x + dropout(branch)) with norm pair `which` (1 or 2).
+  ag::Variable AddNormalize(int which, const ag::Variable& x, const ag::Variable& branch);
 
   NormKind norm_kind_;
   attn::MultiHeadAttention mha_;

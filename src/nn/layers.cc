@@ -35,38 +35,42 @@ void Linear::SetQuantizedWeight(const QuantizedTensor* qweight) {
 
 ag::Variable Linear::Forward(const ag::Variable& x, Epilogue epilogue) {
   RITA_CHECK_EQ(x.size(-1), in_features_);
-  const bool grad = ag::GradModeEnabled();
-  RITA_CHECK(!(grad && epilogue == Epilogue::kGelu))
+  RITA_CHECK(!(ag::GradModeEnabled() && epilogue == Epilogue::kGelu))
       << "the GELU epilogue keeps no pre-activation for a backward";
   // The leading dims flatten to GEMM rows and the output reuses that
-  // contiguous layout, so no reshape copies. Training forwards always use
-  // the fp32 weight.
+  // contiguous layout, so no reshape copies.
   Shape out_shape = x.shape();
   out_shape.back() = out_features_;
   Tensor y(std::move(out_shape));
   const int64_t rows = x.numel() / in_features_;
-  const int64_t n = out_features_, k = in_features_;
   const float* px = x.data().data();
-  const float* pw = weight_.data().data();
-  const float* pb = has_bias_ ? bias_.data().data() : nullptr;
   float* py = y.data();
-  const QuantizedTensor* q = grad ? nullptr : qweight_;
-  const kernels::KernelTable& kt = kernels::Active();
-  ops::ParallelRows(rows, n * k, [&](int64_t r0, int64_t r1) {
-    if (q == nullptr) {
-      kt.gemm(px, pw, py, rows, n, k, false, false, r0, r1);
-    } else {
-      kt.gemm_bf16(px, q->bf16_data(), py, rows, n, k, r0, r1);
-    }
-    for (int64_t r = r0; r < r1; ++r) {
-      float* row = py + r * n;
-      if (pb != nullptr) kt.add(row, pb, n);
-      if (epilogue == Epilogue::kGelu) kt.gelu_array(row, row, n);
-    }
+  ops::ParallelRows(rows, out_features_ * in_features_, [&](int64_t r0, int64_t r1) {
+    ForwardRows(px, rows, py, r0, r1, epilogue);
   });
   ag::Variable out(std::move(y));
   ag::ConnectLinear(x, weight_, bias_, &out);
   return out;
+}
+
+void Linear::ForwardRows(const float* x, int64_t rows, float* y, int64_t r0, int64_t r1,
+                         Epilogue epilogue) const {
+  const int64_t n = out_features_, k = in_features_;
+  const float* pb = has_bias_ ? bias_.data().data() : nullptr;
+  const bool gelu = epilogue == Epilogue::kGelu;
+  const kernels::KernelTable& kt = kernels::Active();
+  // Training forwards always use the fp32 weight.
+  const QuantizedTensor* q = ag::GradModeEnabled() ? nullptr : qweight_;
+  if (q == nullptr) {
+    kt.linear_rows(x, weight_.data().data(), pb, gelu, y, rows, n, k, r0, r1);
+    return;
+  }
+  kt.gemm_bf16(x, q->bf16_data(), y, rows, n, k, r0, r1);
+  for (int64_t r = r0; r < r1; ++r) {
+    float* row = y + r * n;
+    if (pb != nullptr) kt.add(row, pb, n);
+    if (gelu) kt.gelu_array(row, row, n);
+  }
 }
 
 LayerNorm::LayerNorm(int64_t dim, float eps) : eps_(eps) {
@@ -76,6 +80,10 @@ LayerNorm::LayerNorm(int64_t dim, float eps) : eps_(eps) {
 
 ag::Variable LayerNorm::Forward(const ag::Variable& x) {
   return ag::LayerNorm(x, gamma_, beta_, eps_);
+}
+
+ag::Variable LayerNorm::Forward(const ag::Variable& x, const ag::Variable& residual) {
+  return ag::AddLayerNorm(x, residual, gamma_, beta_, eps_);
 }
 
 BatchNorm1d::BatchNorm1d(int64_t features, float momentum, float eps)

@@ -17,10 +17,8 @@ namespace nn {
 ///
 /// One forward for every grad mode and precision: the leading dims flatten
 /// to rows, the rows shard through ops::ParallelRows, and each shard runs
-/// the GEMM row-range kernel straight into the output, then adds the bias
-/// (and applies the optional epilogue) to its own rows. No forward goes
-/// through ag::MatMul. With grad mode on, one ag::ConnectLinear node records
-/// the backward.
+/// ForwardRows straight into the output. No forward goes through ag::MatMul.
+/// With grad mode on, one ag::ConnectLinear node records the backward.
 class Linear : public Module {
  public:
   /// Elementwise map applied to each output row after the bias.
@@ -34,6 +32,14 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng* rng, bool bias = true);
 
   ag::Variable Forward(const ag::Variable& x, Epilogue epilogue = Epilogue::kNone);
+
+  /// Rows [r0, r1) of y = x W + b and the epilogue, for x [rows, in] and
+  /// y [rows, out] row-major: the fp32 weight runs the kernel table's
+  /// linear_rows (bias and GELU fused into the GEMM row loop), an attached
+  /// bf16 weight (grad mode off) runs gemm_bf16 then the bias and epilogue
+  /// row by row. Rows are independent, so any row split gives the same bits.
+  void ForwardRows(const float* x, int64_t rows, float* y, int64_t r0, int64_t r1,
+                   Epilogue epilogue = Epilogue::kNone) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
@@ -62,6 +68,8 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(int64_t dim, float eps = 1e-5f);
   ag::Variable Forward(const ag::Variable& x);
+  /// LayerNorm(x + residual) through ag::AddLayerNorm.
+  ag::Variable Forward(const ag::Variable& x, const ag::Variable& residual);
 
  private:
   float eps_;

@@ -76,7 +76,11 @@ void AddInPlace(Tensor* y, const Tensor& x);
 ///
 /// On the SIMD backend, which serves, sharding loses up to 672K
 /// multiply-adds (41 rows) and wins from 2.56M (626 x 64 x 64); 1.03M
-/// (251 x 64 x 64) is the crossover.
+/// (251 x 64 x 64) is the crossover. Re-measured with the 6x16 linear_rows
+/// kernel (serial and sharded calls interleaved): 251 x 64 x 64 runs 23.7 us
+/// serial vs 32.8 sharded and 626 x 64 x 64 61.5 vs 39.2 in a run where the
+/// pool scaled, so the crossover stays between them; most runs on that host
+/// showed no pool scaling at all (sharded = serial + 1-20 us at every shape).
 constexpr int64_t kRowParallelGrain = int64_t{1} << 20;
 
 /// Runs body(r0, r1) over [0, rows) in disjoint row ranges: on the calling

@@ -9,6 +9,7 @@
 #include "autograd/gradcheck.h"
 #include "core/attention_factory.h"
 #include "linalg/kernels/kernels.h"
+#include "tensor/quantized_tensor.h"
 #include "tensor/tensor_ops.h"
 
 namespace rita {
@@ -235,6 +236,42 @@ TEST(MultiHeadTest, HeadSplitAndMergeMatchThePermuteChainInBothGradModes) {
       EXPECT_TRUE(BitEqual(mha.MergeHeads(ag::Variable(o, true), b, n).data(), want)) << what;
       ag::NoGradGuard guard;
       EXPECT_TRUE(BitEqual(mha.MergeHeads(ag::Variable(o), b, n).data(), want)) << what;
+    }
+  }
+  kernels::SetBackendForTesting(initial);
+}
+
+// A grad-free ProjectHeads writes head-major from the GEMM tiles whichever
+// weight is attached; with bf16 projections it still equals the head split
+// of the Linear's own (bf16) forward.
+TEST(MultiHeadTest, GradFreeProjectHeadsWithBf16WeightsMatchesTheSplitLinear) {
+  const kernels::Backend initial = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) backends.push_back(kernels::Backend::kSimd);
+  for (kernels::Backend backend : backends) {
+    kernels::SetBackendForTesting(backend);
+    for (auto [b, n, dim, heads] : std::vector<std::array<int64_t, 4>>{
+             {1, 41, 64, 2}, {16, 251, 64, 2}, {3, 5, 24, 4}}) {
+      Rng rng(15);
+      core::AttentionOptions opts;
+      opts.kind = AttentionKind::kVanilla;
+      MultiHeadAttention mha(dim, heads,
+                             core::CreateAttentionMechanism(dim / heads, opts, &rng),
+                             &rng);
+      std::vector<QuantizedTensor> weights;
+      weights.reserve(3);
+      for (int which = 0; which < 3; ++which) {
+        weights.push_back(QuantizedTensor::QuantizeBf16(mha.projection(which)->weight().data()));
+        mha.projection(which)->SetQuantizedWeight(&weights.back());
+      }
+      const Tensor x = Tensor::RandNormal({b, n, dim}, &rng);
+      ag::NoGradGuard guard;
+      for (int which = 0; which < 3; ++which) {
+        const Tensor want =
+            PermuteSplit(mha.projection(which)->Forward(ag::Variable(x)), b, n, heads).data();
+        EXPECT_TRUE(BitEqual(mha.ProjectHeads(which, ag::Variable(x)).data(), want))
+            << kernels::BackendName(backend) << " b " << b << " projection " << which;
+      }
     }
   }
   kernels::SetBackendForTesting(initial);

@@ -902,6 +902,142 @@ TEST_F(KernelBackendsTest, GemmBf16MatchesDequantizedReference) {
   }
 }
 
+// --------------------------------------------------------------------------
+// Linear and LayerNorm row kernels
+// --------------------------------------------------------------------------
+
+std::vector<Backend> AvailableBackends() {
+  std::vector<Backend> out = {Backend::kScalar};
+  if (SimdAvailable()) out.push_back(Backend::kSimd);
+  return out;
+}
+
+bool SameBits(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, sizeof(float) * n) == 0;
+}
+
+// linear_rows is the backend's own gemm -> add -> gelu_array composition,
+// bit for bit, at row counts around the 6-row and 4-row SIMD tiles, every
+// column-tail kind (16-wide, 8-wide, scalar) and both epilogue switches, and
+// for a row range that starts inside a tile. The SIMD NN gemm itself is
+// pinned to one kk-ascending fmaf chain per element, so no tile shape can
+// change a bit.
+TEST(KernelLinearRowsTest, MatchesGemmAddGeluPerBackend) {
+  Rng rng(71);
+  for (Backend backend : AvailableBackends()) {
+    const KernelTable& t = Table(backend);
+    for (int64_t k : {1, 64, 256}) {
+      for (int64_t n : {8, 16, 24, 64, 192, 256, 17}) {
+        const std::vector<float> w = RandomVec(k * n, &rng, -0.3f, 0.3f);
+        const std::vector<float> bias = RandomVec(n, &rng, -1.0f, 1.0f);
+        for (int64_t m : {1, 5, 6, 7, 12, 13, 42, 627}) {
+          const std::vector<float> a = RandomVec(m * k, &rng, -1.5f, 1.5f);
+          std::vector<float> plain(m * n);
+          t.gemm(a.data(), w.data(), plain.data(), m, n, k, false, false, 0, m);
+          if (backend == Backend::kSimd) {
+            bool chain_ok = true;
+            for (int64_t i = 0; i < m && chain_ok; ++i) {
+              for (int64_t j = 0; j < n; ++j) {
+                float acc = 0.0f;
+                for (int64_t kk = 0; kk < k; ++kk) {
+                  acc = std::fmaf(a[i * k + kk], w[kk * n + j], acc);
+                }
+                if (std::memcmp(&acc, &plain[i * n + j], sizeof(float)) != 0) {
+                  chain_ok = false;
+                  break;
+                }
+              }
+            }
+            EXPECT_TRUE(chain_ok) << "simd gemm vs fmaf chain m=" << m << " n=" << n
+                                  << " k=" << k;
+          }
+          for (bool with_bias : {false, true}) {
+            for (bool gelu : {false, true}) {
+              std::vector<float> want = plain;
+              for (int64_t r = 0; r < m; ++r) {
+                if (with_bias) t.add(want.data() + r * n, bias.data(), n);
+                if (gelu) t.gelu_array(want.data() + r * n, want.data() + r * n, n);
+              }
+              const float* pb = with_bias ? bias.data() : nullptr;
+              std::vector<float> got(m * n, -7.0f);
+              t.linear_rows(a.data(), w.data(), pb, gelu, got.data(), m, n, k, 0, m);
+              const std::string what = std::string(BackendName(backend)) +
+                                       " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                                       " k=" + std::to_string(k) +
+                                       " bias=" + std::to_string(with_bias) +
+                                       " gelu=" + std::to_string(gelu);
+              EXPECT_TRUE(SameBits(got.data(), want.data(), m * n)) << what;
+              if (m > 5) {
+                std::vector<float> part(m * n, -7.0f);
+                t.linear_rows(a.data(), w.data(), pb, gelu, part.data(), m, n, k, 5, m);
+                EXPECT_TRUE(SameBits(part.data() + 5 * n, want.data() + 5 * n, (m - 5) * n))
+                    << what << " r0=5";
+                EXPECT_EQ(part[5 * n - 1], -7.0f) << what << " wrote below r0";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// NaN-aware bit equality: the same bits, or NaN on both sides.
+bool AlikeBits(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+// The row-lane SIMD LayerNorm gives the scalar loop's bits: every row count
+// mod 8 (the scalar remainder), widths with and without a column tail, with
+// and without a residual, with the backward outputs, and rows holding a NaN
+// or an Inf (whose whole row goes NaN on both backends, and whose
+// neighbours in the same 8-row block stay finite).
+TEST_F(KernelBackendsTest, LayerNormRowsSimdMatchesScalar) {
+  Rng rng(72);
+  for (int64_t d : {8, 64, 65}) {
+    const std::vector<float> gamma = RandomVec(d, &rng, 0.5f, 1.5f);
+    const std::vector<float> beta = RandomVec(d, &rng, -0.5f, 0.5f);
+    for (int64_t rows = 16; rows < 24; ++rows) {
+      std::vector<float> x = RandomVec(rows * d, &rng, -3.0f, 5.0f);
+      const std::vector<float> res = RandomVec(rows * d, &rng, -1.0f, 1.0f);
+      x[3 * d + d / 2] = std::nanf("");
+      x[10 * d + 1] = kInf;
+      for (bool with_res : {false, true}) {
+        const float* pr = with_res ? res.data() : nullptr;
+        std::vector<float> y1(rows * d), y2(rows * d), xh1(rows * d), xh2(rows * d);
+        std::vector<float> is1(rows), is2(rows);
+        scalar().layernorm_rows(x.data(), pr, gamma.data(), beta.data(), y1.data(),
+                                xh1.data(), is1.data(), rows, d, 1e-5f);
+        simd().layernorm_rows(x.data(), pr, gamma.data(), beta.data(), y2.data(),
+                              xh2.data(), is2.data(), rows, d, 1e-5f);
+        const std::string what = "d=" + std::to_string(d) + " rows=" + std::to_string(rows) +
+                                 " residual=" + std::to_string(with_res);
+        EXPECT_TRUE(AlikeBits(y1, y2)) << what;
+        EXPECT_TRUE(AlikeBits(xh1, xh2)) << what;
+        EXPECT_TRUE(AlikeBits(is1, is2)) << what;
+        for (int64_t r : {3, 10}) {
+          for (int64_t i = 0; i < d; ++i) {
+            EXPECT_TRUE(std::isnan(y2[r * d + i])) << what << " row " << r;
+          }
+        }
+        for (int64_t i = 0; i < d; ++i) {
+          EXPECT_TRUE(std::isfinite(y2[2 * d + i]) && std::isfinite(y2[11 * d + i])) << what;
+        }
+        // Without backward outputs, and in place (y aliasing x).
+        std::vector<float> y3 = x;
+        simd().layernorm_rows(y3.data(), pr, gamma.data(), beta.data(), y3.data(), nullptr,
+                              nullptr, rows, d, 1e-5f);
+        EXPECT_TRUE(AlikeBits(y3, y1)) << what << " in place";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kernels
 }  // namespace rita

@@ -3,11 +3,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "cluster/kmeans.h"
 #include "linalg/kernels/kernels.h"
 #include "tensor/tensor_ops.h"
+#include "util/execution_context.h"
+#include "util/thread_pool.h"
 
 namespace rita {
 namespace cluster {
@@ -163,6 +166,33 @@ TEST(KMeansTest, DeterministicUnderSeed) {
   KMeansResult b = RunKMeans(points, opts, &r2);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_TRUE(a.centroids.AllClose(b.centroids));
+}
+
+// The update step shards its reduction blocks only above the row grain; at
+// 64 blocks of 512 x 32 it runs 4 shards on a width-4 pool, and the result
+// must equal the inline (parallel = false) run bit for bit, as it must at a
+// grouping shape (626 x 32, 2 blocks) that stays on the calling thread.
+TEST(KMeansTest, ShardedUpdateStepMatchesInlineRun) {
+  ThreadPool pool(4);
+  ExecutionContext context(&pool);
+  for (int64_t n : {626, 32768}) {
+    Rng rng_data(11);
+    const Tensor points = Tensor::RandNormal({n, 32}, &rng_data);
+    KMeansOptions opts;
+    opts.num_clusters = 16;
+    opts.max_iters = 2;
+    KMeansOptions inline_opts = opts;
+    inline_opts.parallel = false;
+    Rng r1(78), r2(78);
+    const KMeansResult sharded = RunKMeans(points, opts, &r1, &context);
+    const KMeansResult serial = RunKMeans(points, inline_opts, &r2, &context);
+    EXPECT_EQ(sharded.assignment, serial.assignment) << n;
+    EXPECT_EQ(sharded.counts, serial.counts) << n;
+    EXPECT_EQ(0, std::memcmp(sharded.centroids.data(), serial.centroids.data(),
+                             sizeof(float) * serial.centroids.numel()))
+        << n;
+    EXPECT_EQ(sharded.inertia, serial.inertia) << n;
+  }
 }
 
 TEST(ClusterRadiiTest, RadiiBoundMemberDistances) {

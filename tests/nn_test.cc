@@ -7,7 +7,9 @@
 #include <fstream>
 #include <iterator>
 
+#include "core/attention_factory.h"
 #include "linalg/kernels/kernels.h"
+#include "model/transformer_encoder.h"
 #include "nn/checkpoint.h"
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -540,18 +542,25 @@ TEST_F(RowParallelTest, LayerNormGradAndNoGradForwardsAreBitwiseEqual) {
   }
 }
 
-// Runs `forward` over row ranges of `x` [rows, d] as a pool of `width`
+// Runs fn(r0, r1) -> [r1 - r0, cols] over row ranges as a pool of `width`
 // shards them, each range as its own call, and stitches the outputs.
-template <typename Forward>
-Tensor ForwardInShards(const Tensor& x, int64_t out_cols, int width, Forward forward) {
-  const int64_t rows = x.size(0);
-  Tensor out({rows, out_cols});
+template <typename Fn>
+Tensor StitchShards(int64_t rows, int64_t cols, int width, Fn fn) {
+  Tensor out({rows, cols});
   ThreadPool pool(width);
   pool.ParallelFor(0, rows, [&](int64_t r0, int64_t r1) {
-    const Tensor y = forward(ops::Slice(x, 0, r0, r1 - r0));
-    std::copy(y.data(), y.data() + y.numel(), out.data() + r0 * out_cols);
+    const Tensor y = fn(r0, r1);
+    std::copy(y.data(), y.data() + y.numel(), out.data() + r0 * cols);
   });
   return out;
+}
+
+// Runs `forward` over row ranges of `x` [rows, d], stitched as above.
+template <typename Forward>
+Tensor ForwardInShards(const Tensor& x, int64_t out_cols, int width, Forward forward) {
+  return StitchShards(x.size(0), out_cols, width, [&](int64_t r0, int64_t r1) {
+    return forward(ops::Slice(x, 0, r0, r1 - r0));
+  });
 }
 
 TEST_F(RowParallelTest, RowLoopsArePinnedAcrossPoolWidths) {
@@ -590,6 +599,98 @@ TEST_F(RowParallelTest, RowLoopsArePinnedAcrossPoolWidths) {
         EXPECT_TRUE(BitEqual(ForwardInShards(x, 37, width, run_linear), serial)) << what;
         EXPECT_TRUE(BitEqual(ForwardInShards(x, 64, width, run_ffn), ffn_1)) << what;
         EXPECT_TRUE(BitEqual(ForwardInShards(x, 64, width, run_ln), ln_1)) << what;
+      }
+    }
+  }
+}
+
+TEST_F(RowParallelTest, AddLayerNormMatchesAddThenLayerNorm) {
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    for (Shape shape : {Shape{41, 64}, Shape{16, 251, 64}, Shape{5, 20}, Shape{21, 65}}) {
+      Rng rng(28);
+      LayerNorm ln(shape.back());
+      RandomizeBias(&ln, &rng);
+      const Tensor x = Tensor::RandNormal(shape, &rng, 0.5f, 2.0f);
+      const Tensor r = Tensor::RandNormal(shape, &rng);
+      const Tensor y_grad =
+          ln.Forward(ag::Add(ag::Variable(x, true), ag::Variable(r, true))).data();
+      const Tensor fused_grad = ln.Forward(ag::Variable(x, true), ag::Variable(r)).data();
+      ag::NoGradGuard guard;
+      const std::string what =
+          std::string(kernels::BackendName(backend)) + " " + ShapeToString(shape);
+      EXPECT_TRUE(BitEqual(fused_grad, y_grad)) << what;
+      EXPECT_TRUE(BitEqual(ln.Forward(ag::Variable(x), ag::Variable(r)).data(), y_grad))
+          << what;
+      EXPECT_TRUE(BitEqual(ln.Forward(ag::Add(ag::Variable(x), ag::Variable(r))).data(), y_grad))
+          << what;
+    }
+  }
+}
+
+// The encoder layer's grad-free stage helpers (head-major ProjectHeads, the
+// fused residual + LayerNorm of AttentionResidual / FfnResidual) equal the
+// grad-mode training paths (HeadCopy of the Linear output, ag::Add then
+// ag::LayerNorm), and token shards at widths 2/4/8 reproduce one call.
+TEST_F(RowParallelTest, EncoderStagesMatchTrainingPathsAndArePinnedAcrossPoolWidths) {
+  model::EncoderConfig config;
+  config.dim = 64;
+  config.num_heads = 2;
+  config.ffn_hidden = 256;
+  config.dropout = 0.0f;
+  config.attention.kind = attn::AttentionKind::kVanilla;
+  config.attention.dropout = 0.0f;
+  const int64_t d = config.dim, heads = config.num_heads, dh = d / heads;
+  for (kernels::Backend backend : Backends()) {
+    kernels::SetBackendForTesting(backend);
+    for (int64_t rows : {41, 4016}) {
+      Rng rng(29);
+      model::TransformerEncoderLayer layer(config, &rng);
+      layer.SetTraining(false);
+      RandomizeBias(&layer, &rng);
+      const Tensor x = Tensor::RandNormal({1, rows, d}, &rng);
+      const Tensor attended = Tensor::RandNormal({1, rows, d}, &rng);
+      const std::string what =
+          std::string(kernels::BackendName(backend)) + " rows " + std::to_string(rows);
+
+      const Tensor res_grad =
+          layer.AttentionResidual(ag::Variable(x, true), ag::Variable(attended)).data();
+      const Tensor ffn_grad = layer.FfnResidual(ag::Variable(x, true)).data();
+      for (int which = 0; which < 3; ++which) {
+        const Tensor want = layer.attention()->ProjectHeads(which, ag::Variable(x, true)).data();
+        auto project = [&](int64_t r0, int64_t r1) {
+          ag::NoGradGuard guard;
+          // [H, r1 - r0, dh] -> token-major rows [r1 - r0, H * dh] for stitching.
+          const Tensor part = layer.attention()
+                                  ->ProjectHeads(which, ag::Variable(ops::Slice(x, 1, r0, r1 - r0)))
+                                  .data();
+          return ops::Permute(part, {1, 0, 2}).Reshape({r1 - r0, heads * dh});
+        };
+        const Tensor want_rows = ops::Permute(want, {1, 0, 2}).Reshape({rows, d});
+        for (int width : {1, 2, 4, 8}) {
+          EXPECT_TRUE(BitEqual(StitchShards(rows, d, width, project), want_rows))
+              << what << " projection " << which << " width " << width;
+        }
+      }
+      auto residual = [&](int64_t r0, int64_t r1) {
+        ag::NoGradGuard guard;
+        return layer
+            .AttentionResidual(ag::Variable(ops::Slice(x, 1, r0, r1 - r0)),
+                               ag::Variable(ops::Slice(attended, 1, r0, r1 - r0)))
+            .data()
+            .Reshape({r1 - r0, d});
+      };
+      auto ffn = [&](int64_t r0, int64_t r1) {
+        ag::NoGradGuard guard;
+        return layer.FfnResidual(ag::Variable(ops::Slice(x, 1, r0, r1 - r0)))
+            .data()
+            .Reshape({r1 - r0, d});
+      };
+      for (int width : {1, 2, 4, 8}) {
+        EXPECT_TRUE(BitEqual(StitchShards(rows, d, width, residual), res_grad.Reshape({rows, d})))
+            << what << " attention residual width " << width;
+        EXPECT_TRUE(BitEqual(StitchShards(rows, d, width, ffn), ffn_grad.Reshape({rows, d})))
+            << what << " ffn residual width " << width;
       }
     }
   }
